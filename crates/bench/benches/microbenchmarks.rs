@@ -32,9 +32,8 @@ fn bench_event_queue(c: &mut Criterion) {
 }
 
 fn bench_event_queue_1m(c: &mut Criterion) {
-    // The two-tier queue at scale: a million events spread over ~100
-    // simulated seconds, far beyond the near-future ring, so the bench
-    // exercises overflow-heap migration as well as bucket scans.
+    // The queue at scale: a million pending events spread over ~100
+    // simulated seconds, pushed in a scrambled order and drained.
     c.bench_function("micro/event_queue_push_pop_1m", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();

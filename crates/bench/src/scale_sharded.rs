@@ -3,12 +3,10 @@
 //!
 //! Where the serial study drains one `World`, each point here partitions
 //! the fleet across per-cluster [`ShardedWorld`] shards advanced in
-//! deterministic epochs (see `microedge_core::shard`). Sharding is also the
-//! perf lever on the replay hot path: `EventQueue::pop_due` scans the
-//! unsorted head bucket for its `(time, seq)` minimum, and at 100k
-//! one-FPS streams a single queue's head bucket holds hundreds of events —
-//! splitting the fleet into K shards divides that scan (and the working
-//! set each epoch touches) by K, independent of thread count. Every
+//! deterministic epochs (see `microedge_core::shard`). Independent of
+//! thread count, K shards shrink each event queue K-fold (a heap pop costs
+//! O(log pending)) and keep the working set each epoch touches near cache
+//! size; the exchange and barrier bookkeeping are what that costs. Every
 //! `EXPORT_STRIDE`-th camera additionally announces its completions to the
 //! neighbouring shard, so the cross-shard exchange path is exercised at
 //! full scale, not just in unit tests.
@@ -90,10 +88,10 @@ pub struct ShardedScaleStudy {
 /// The `(streams, shards)` pairs the sharded study sweeps: tiny in quick
 /// mode (tests, CI smoke), 100k and the 1M-camera tier otherwise. Stream
 /// counts divide evenly by their shard counts, and full-tier shards hold
-/// 2 000 streams each — small enough that the event queue's near-future
-/// ring stays sparse (the serial sweep shows per-event cost climbing
-/// ~11x from the 1k-stream tier to the 100k tier as bucket occupancy
-/// grows), big enough that one shard is a realistic edge cluster.
+/// 2 000 streams each — small enough that a shard's queue and working set
+/// stay cache-sized (the serial sweep shows per-event cost climbing from
+/// the 1k-stream tier to the 100k tier as both grow), big enough that one
+/// shard is a realistic edge cluster.
 #[must_use]
 pub fn sharded_stream_counts(quick: bool) -> &'static [(u64, u32)] {
     if quick {

@@ -37,10 +37,11 @@ pub const ALLOWABLE_RULES: &[&str] = &[
     NO_NARROWING_AS_CAST,
 ];
 
-/// The bench crate's measurement modules: the only places allowed to read
-/// the host wall clock, because they time the *simulator itself* (replay
-/// wall time, admission throughput). Everything else must take time from
-/// the `EventQueue`.
+/// The measurement modules of the bench crate and of the `perfbench`
+/// benchmark: the only places allowed to read the host wall clock, because
+/// they time the *simulator itself* (replay wall time, admission
+/// throughput, per-layer ns/op, span self time). Everything else must take
+/// time from the `EventQueue`.
 pub const WALL_CLOCK_EXEMPT_FILES: &[&str] = &[
     "crates/bench/src/perf.rs",
     "crates/bench/src/admission_overhead.rs",
@@ -49,6 +50,11 @@ pub const WALL_CLOCK_EXEMPT_FILES: &[&str] = &[
     "crates/bench/src/fleet.rs",
     "crates/bench/src/netchaos.rs",
     "crates/bench/src/defrag.rs",
+    "perfbench/src/calib.rs",
+    "perfbench/src/ledger.rs",
+    "perfbench/src/main.rs",
+    "perfbench/src/probes.rs",
+    "perfbench/src/spans.rs",
 ];
 
 /// Crates whose data structures feed byte-identical JSON artifacts: any
@@ -150,13 +156,18 @@ pub fn is_taint_sink(name: &str) -> bool {
 }
 
 /// The cargo package a workspace-relative path belongs to, as named in
-/// `lint-baseline.toml` (`crates/core` -> `microedge-core`; the root
-/// package's `src/`, `examples/`, `tests/` -> `microedge`).
+/// `lint-baseline.toml` (`crates/core` -> `microedge-core`; the benchmark's
+/// own workspace `perfbench/` -> `perfbench`; the root package's `src/`,
+/// `examples/`, `tests/` -> `microedge`). Each package gets its own call
+/// graph, so two binaries' `main`s must never map to the same package.
 pub fn crate_of(rel: &str) -> String {
     if let Some(rest) = rel.strip_prefix("crates/") {
         if let Some(dir) = rest.split('/').next() {
             return format!("microedge-{dir}");
         }
+    }
+    if rel.starts_with("perfbench/") {
+        return "perfbench".to_string();
     }
     "microedge".to_string()
 }

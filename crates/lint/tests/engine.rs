@@ -43,6 +43,7 @@ fn wall_clock_exempt_in_bench_measurement_modules() {
     for rel in [
         "crates/bench/src/perf.rs",
         "crates/bench/src/scale_sharded.rs",
+        "perfbench/src/spans.rs",
     ] {
         let f = scan(rel, "wall_clock_violation.rs");
         assert!(
@@ -365,6 +366,53 @@ fn panic_path_counts_only_constructs_reachable_from_entries() {
     let (g, _) = graph("crates/orch/src/report.rs", "panic_path.rs");
     let (debt, _) = microedge_lint::taint::panic_path_debt(&g);
     assert_eq!(debt, 0);
+}
+
+#[test]
+fn packages_with_their_own_main_get_separate_call_graphs() {
+    // The root package's example and the benchmark workspace each build a
+    // binary with its own `main`. Calls resolve by name within a package
+    // (a `World::new` defined in another crate falls back to every `new`),
+    // so filing both under one package would link the example's `main` to
+    // the benchmark's wall-clock `Tracer::new` and report a false taint at
+    // the example's artifact sink.
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("two_mains_workspace");
+    let _ = fs::remove_dir_all(&root);
+    for (rel, src) in [
+        ("Cargo.toml", "[workspace]\n"),
+        ("crates/.keep", ""),
+        (
+            "examples/report.rs",
+            "fn main() {\n    let w = World::new();\n    print!(\"{}\", w.render_summary());\n}\n",
+        ),
+        (
+            "perfbench/src/bin/clock.rs",
+            "use std::time::Instant;\nstruct Tracer(Instant);\nimpl Tracer {\n    fn new() -> Self {\n        \
+             Tracer(Instant::now())\n    }\n}\nfn main() {\n    drop(Tracer::new());\n}\n",
+        ),
+    ] {
+        let path = root.join(rel);
+        fs::create_dir_all(path.parent().expect("file has a parent")).expect("mkdir");
+        fs::write(&path, src).expect("write");
+    }
+
+    let report = engine::lint_workspace(&root).expect("workspace scan");
+    let taint: Vec<String> = report
+        .diags
+        .iter()
+        .filter(|d| d.rule == "taint-artifact-path")
+        .map(|d| d.to_string())
+        .collect();
+    assert!(
+        taint.is_empty(),
+        "call graphs leaked across packages: {taint:?}"
+    );
+    // The wall-clock read itself is still reported where it happens.
+    assert!(report
+        .diags
+        .iter()
+        .any(|d| d.rule == "no-wall-clock" && d.path == "perfbench/src/bin/clock.rs"));
+    fs::remove_dir_all(&root).expect("cleanup");
 }
 
 #[test]

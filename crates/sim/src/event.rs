@@ -3,29 +3,16 @@
 //! The queue orders events by `(time, sequence)`, where the sequence number
 //! is assigned at insertion. Two events scheduled for the same instant are
 //! therefore delivered in insertion order, which keeps simulations
-//! reproducible bit-for-bit regardless of queue internals.
+//! reproducible bit-for-bit.
 //!
 //! # Implementation
 //!
-//! Nearly every event a MicroEdge world schedules lands within one frame
-//! interval of the current time (pre-processing, a network hop, a TPU
-//! invocation, the next frame tick), so the queue is two-tiered:
-//!
-//! * a **bucket ring** of [`NUM_BUCKETS`] time slices, each
-//!   `2^`[`BUCKET_SHIFT`] ns wide (≈ 2.1 ms — ring horizon ≈ 134 ms, two
-//!   15 FPS frame intervals), holds every event below the horizon. Buckets
-//!   stay unordered: scheduling is a plain `Vec::push` and delivery scans
-//!   the (short) head bucket for its `(time, seq)` minimum — far cheaper
-//!   than keeping buckets sorted under the simulator's constant
-//!   interleaving of pushes and pops;
-//! * a **fallback binary heap** holds the rare far-future event (stream
-//!   start offsets, coarse experiment timers). Whenever the cursor
-//!   advances, heap events that fell below the horizon migrate into the
-//!   ring.
-//!
-//! Both tiers compare `(time, seq)`, so delivery order is bit-for-bit
-//! identical to a single global heap — the property the
-//! `sim_properties::event_queue_total_order` test pins down.
+//! One std [`BinaryHeap`] holds only `(time, seq, slot)` keys; each event's
+//! payload sits in slot `slot` of a slab that reuses freed slots through a
+//! free list, so the heap sifts 24-byte keys however large the events
+//! are. `seq` is unique, so tuple order is exactly `(time, seq)` and the
+//! slot never decides an order; `sim_properties::event_queue_total_order`
+//! checks delivery against a sorted-map reference.
 //!
 //! # Examples
 //!
@@ -39,118 +26,29 @@
 //! let (t, ev) = q.pop().unwrap();
 //! assert_eq!((t, ev), (SimTime::from_millis(5), "a"));
 //! assert_eq!(q.now(), SimTime::from_millis(5));
+//! q.schedule_after(SimDuration::from_millis(66), "c");
+//! assert_eq!(q.pop().map(|(t, _)| t), Some(SimTime::from_millis(10)));
+//! assert_eq!(q.pop(), Some((SimTime::from_millis(71), "c")));
 //! ```
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
-
-/// log2 of the bucket width in nanoseconds (2^21 ns ≈ 2.1 ms).
-const BUCKET_SHIFT: u32 = 21;
-
-/// Number of buckets in the near-horizon ring.
-const NUM_BUCKETS: u64 = 64;
-
-/// The global bucket index an instant falls into.
-#[inline]
-fn bucket_of(time: SimTime) -> u64 {
-    time.as_nanos() >> BUCKET_SHIFT
-}
-
-/// The ring-array slot for a global bucket index.
-#[inline]
-fn ring_slot(bucket: u64) -> usize {
-    usize::try_from(bucket % NUM_BUCKETS).expect("ring slot fits usize")
-}
-
-/// An event staged in the queue, ordered by `(time, seq)` ascending.
-#[derive(Debug)]
-struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> Scheduled<E> {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        other.key().cmp(&self.key())
-    }
-}
-
-/// One ring slot: the events of one global bucket index.
-#[derive(Debug)]
-struct Bucket<E> {
-    /// The global bucket index currently mapped onto this slot. Slots are
-    /// reused as the ring wraps; a mismatch means the slot's previous
-    /// bucket fully drained and the slot can be re-labelled.
-    index: u64,
-    /// Unordered; the pop path scans for the `(time, seq)` minimum.
-    events: Vec<Scheduled<E>>,
-}
 
 /// A deterministic future-event list for discrete-event simulation.
 ///
 /// The queue carries the simulation clock: popping an event advances
 /// [`EventQueue::now`] to that event's timestamp. Time never moves backwards
 /// and events may never be scheduled in the past.
-///
-/// # Examples
-///
-/// ```
-/// use microedge_sim::event::EventQueue;
-/// use microedge_sim::time::SimDuration;
-///
-/// #[derive(Debug, PartialEq)]
-/// enum Ev { FrameArrived(u32) }
-///
-/// let mut q = EventQueue::new();
-/// q.schedule_after(SimDuration::from_millis(66), Ev::FrameArrived(0));
-/// while let Some((t, ev)) = q.pop() {
-///     assert_eq!(ev, Ev::FrameArrived(0));
-///     assert_eq!(t.as_millis_f64(), 66.0);
-/// }
-/// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Near-horizon tier: `NUM_BUCKETS` slots covering global buckets
-    /// `[cursor, cursor + NUM_BUCKETS)`.
-    ring: Vec<Bucket<E>>,
-    /// Bit `s` set ⇔ ring slot `s` is non-empty. `NUM_BUCKETS` is 64
-    /// precisely so the earliest occupied bucket is one rotate +
-    /// `trailing_zeros` away.
-    occupancy: u64,
-    /// Events currently held in the ring (the heap tracks its own length).
-    ring_len: usize,
-    /// Global index of the earliest bucket the ring covers; equals
-    /// `bucket_of(now)` between public calls, so all pending events (whose
-    /// times are `>= now`) sit at or above it.
-    cursor: u64,
-    /// Far-future tier: events at or beyond `cursor + NUM_BUCKETS`.
-    overflow: BinaryHeap<Scheduled<E>>,
+    /// Min-heap of `(time, seq, slot)` keys, one per pending event.
+    keys: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    /// Event payloads by slot; `None` marks a free slot.
+    slots: Vec<Option<E>>,
+    /// Free slots, reused before `slots` grows.
+    free: Vec<usize>,
     now: SimTime,
     next_seq: u64,
     popped: u64,
@@ -167,16 +65,9 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            ring: (0..NUM_BUCKETS)
-                .map(|index| Bucket {
-                    index,
-                    events: Vec::new(),
-                })
-                .collect(),
-            occupancy: 0,
-            ring_len: 0,
-            cursor: 0,
-            overflow: BinaryHeap::new(),
+            keys: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,
@@ -193,13 +84,13 @@ impl<E> EventQueue<E> {
     /// Number of events waiting in the queue.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ring_len + self.overflow.len()
+        self.keys.len()
     }
 
     /// `true` when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.keys.is_empty()
     }
 
     /// Total number of events delivered so far.
@@ -222,12 +113,17 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let scheduled = Scheduled { time, seq, event };
-        if bucket_of(time) < self.cursor + NUM_BUCKETS {
-            self.insert_into_ring(scheduled);
-        } else {
-            self.overflow.push(scheduled);
-        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slots.push(Some(event));
+                self.slots.len() - 1
+            }
+        };
+        self.keys.push(Reverse((time, seq, slot)));
     }
 
     /// Schedules `event` at `delay` after the current time.
@@ -247,48 +143,20 @@ impl<E> EventQueue<E> {
 
     /// [`EventQueue::pop`], but only when the earliest event is at or before
     /// `until`; otherwise the queue is left untouched and `None` is
-    /// returned. Event-loop drivers call this instead of a peek/pop pair so
-    /// each delivered event costs a single ring lookup.
+    /// returned. Event-loop drivers call this instead of a peek/pop pair.
     pub fn pop_due(&mut self, until: SimTime) -> Option<(SimTime, E)> {
-        if self.ring_len == 0 {
-            // Ring exhausted: jump the horizon to the overflow's earliest
-            // bucket and pull everything below it into the ring.
-            let time = self.overflow.peek()?.time;
-            if time > until {
-                return None;
-            }
-            self.cursor = bucket_of(time);
-            self.migrate_overflow();
-        }
-        let b = self.first_occupied();
-        let slot = &mut self.ring[ring_slot(b)];
-        debug_assert!(slot.index == b && !slot.events.is_empty());
-        let mut best = 0;
-        let mut best_key = slot.events[0].key();
-        for (i, e) in slot.events.iter().enumerate().skip(1) {
-            let key = e.key();
-            if key < best_key {
-                best = i;
-                best_key = key;
-            }
-        }
-        if best_key.0 > until {
+        if self.peek_time()? > until {
             return None;
         }
-        let scheduled = slot.events.swap_remove(best);
-        if slot.events.is_empty() {
-            self.occupancy &= !(1u64 << (b % NUM_BUCKETS));
-        }
-        self.ring_len -= 1;
-        debug_assert!(scheduled.time >= self.now, "event queue went backwards");
-        self.now = scheduled.time;
+        let Reverse((time, _, slot)) = self.keys.pop()?;
+        let event = self.slots[slot]
+            .take()
+            .expect("a pending key owns its slot");
+        self.free.push(slot);
+        debug_assert!(time >= self.now, "event queue went backwards");
+        self.now = time;
         self.popped += 1;
-        let cursor = bucket_of(scheduled.time);
-        if cursor > self.cursor {
-            self.cursor = cursor;
-            self.migrate_overflow();
-        }
-        Some((scheduled.time, scheduled.event))
+        Some((time, event))
     }
 
     /// Advances the clock to `time` without delivering anything — the epoch
@@ -315,91 +183,18 @@ impl<E> EventQueue<E> {
             );
         }
         self.now = time;
-        // Every pending event is strictly after `time`, so moving the ring's
-        // base bucket up to `bucket_of(time)` cannot strand one behind the
-        // cursor; migrate any overflow events the new horizon now covers.
-        let cursor = bucket_of(time);
-        if cursor > self.cursor {
-            self.cursor = cursor;
-            self.migrate_overflow();
-        }
     }
 
     /// The timestamp of the earliest pending event, if any, without popping.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.ring_len == 0 {
-            return self.overflow.peek().map(|s| s.time);
-        }
-        let slot = &self.ring[ring_slot(self.first_occupied())];
-        slot.events.iter().map(|s| s.time).min()
-    }
-
-    /// Global index of the earliest occupied ring bucket. The ring covers
-    /// exactly `[cursor, cursor + 64)`, so rotating the occupancy mask by
-    /// the cursor's slot turns "earliest bucket" into `trailing_zeros`.
-    #[inline]
-    fn first_occupied(&self) -> u64 {
-        debug_assert!(self.occupancy != 0, "ring accounting is off");
-        let rot = u32::try_from(self.cursor % NUM_BUCKETS).expect("ring slot fits u32");
-        self.cursor + u64::from(self.occupancy.rotate_right(rot).trailing_zeros())
-    }
-
-    /// Files an event below the horizon into its ring bucket, re-labelling
-    /// the slot if its previous bucket has drained.
-    fn insert_into_ring(&mut self, scheduled: Scheduled<E>) {
-        let bucket = bucket_of(scheduled.time);
-        let slot = &mut self.ring[ring_slot(bucket)];
-        if slot.index != bucket {
-            debug_assert!(slot.events.is_empty(), "re-labelling a live bucket");
-            slot.index = bucket;
-        }
-        slot.events.push(scheduled);
-        self.occupancy |= 1u64 << (bucket % NUM_BUCKETS);
-        self.ring_len += 1;
-    }
-
-    /// Moves every overflow event that fell below the (just-advanced)
-    /// horizon into the ring.
-    fn migrate_overflow(&mut self) {
-        let horizon = self.cursor + NUM_BUCKETS;
-        while let Some(next) = self.overflow.peek() {
-            if bucket_of(next.time) >= horizon {
-                break;
-            }
-            let scheduled = self.overflow.pop().expect("peeked event exists");
-            self.insert_into_ring(scheduled);
-        }
+        self.keys.peek().map(|Reverse((time, _, _))| *time)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use proptest::prelude::*;
-
     use super::*;
-
-    proptest! {
-        /// The manual `PartialOrd` on `Scheduled` must agree with its `Ord`
-        /// impl — `partial_cmp` is always `Some(cmp)` — or heap ordering
-        /// could diverge depending on which trait a caller goes through
-        /// (the PR 4 float-comparison audit, applied to the event queue).
-        #[test]
-        fn scheduled_partial_cmp_agrees_with_cmp(
-            t1 in 0u64..5_000,
-            s1 in 0u64..64,
-            t2 in 0u64..5_000,
-            s2 in 0u64..64,
-        ) {
-            let a = Scheduled { time: SimTime::from_nanos(t1), seq: s1, event: () };
-            let b = Scheduled { time: SimTime::from_nanos(t2), seq: s2, event: () };
-            prop_assert_eq!(a.partial_cmp(&b), Some(a.cmp(&b)));
-            prop_assert_eq!(b.partial_cmp(&a), Some(b.cmp(&a)));
-            prop_assert_eq!(a.partial_cmp(&a), Some(Ordering::Equal));
-            // Antisymmetry ties the two orders together end to end.
-            prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
-        }
-    }
 
     #[test]
     fn pops_in_time_order() {
@@ -470,8 +265,7 @@ mod tests {
 
     #[test]
     fn far_future_events_cross_the_overflow_tier() {
-        // Far beyond the ring horizon (≈ 134 ms): the event parks in the
-        // overflow heap and migrates into the ring when the clock jumps.
+        // An hour out: the clock jumps straight to it once "near" is gone.
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(3600), "far");
         q.schedule_at(SimTime::from_millis(1), "near");
@@ -484,8 +278,8 @@ mod tests {
 
     #[test]
     fn interleaved_tiers_keep_global_order() {
-        // Mix near, mid and far events, re-scheduling as time advances, and
-        // check against a straight sort of the (time, insertion) pairs.
+        // Mix near, mid and far events and check against a straight sort of
+        // the (time, insertion) pairs.
         let mut q = EventQueue::new();
         let mut expected = Vec::new();
         let offsets_ms = [0, 1, 70, 200, 3, 500, 65, 2, 1000, 130, 4, 260];
@@ -501,8 +295,8 @@ mod tests {
 
     #[test]
     fn insert_into_live_bucket_preserves_order() {
-        // Pop one event from a bucket, then schedule more into the same
-        // bucket: delivery order must still follow (time, seq).
+        // Pop one event, then schedule more within the same 100 µs:
+        // delivery order must still follow (time, seq).
         let mut q = EventQueue::new();
         let base = SimTime::from_millis(1);
         q.schedule_at(base, 0);
@@ -518,13 +312,13 @@ mod tests {
     fn pop_due_respects_the_deadline() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_millis(10), "near");
-        q.schedule_at(SimTime::from_secs(900), "far"); // overflow tier
+        q.schedule_at(SimTime::from_secs(900), "far");
         assert_eq!(q.pop_due(SimTime::from_millis(5)), None);
         assert_eq!(
             q.pop_due(SimTime::from_millis(10)),
             Some((SimTime::from_millis(10), "near"))
         );
-        // The far event sits beyond the deadline in the overflow tier.
+        // The far event sits beyond the deadline.
         assert_eq!(q.pop_due(SimTime::from_secs(899)), None);
         assert_eq!(q.len(), 1);
         assert_eq!(
@@ -565,7 +359,7 @@ mod tests {
     fn advance_to_aligns_the_clock_between_epochs() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_millis(3), "a");
-        // Far beyond the ring horizon: parks in the overflow tier.
+        // Past the barrier: stays pending across the clock alignment.
         q.schedule_at(SimTime::from_millis(600), "b");
         let barrier = SimTime::from_millis(500);
         assert_eq!(q.pop_due(barrier).unwrap().1, "a");
@@ -586,20 +380,5 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_millis(10), ());
         q.advance_to(SimTime::from_millis(10));
-    }
-
-    #[test]
-    fn ring_slots_are_reused_across_wraps() {
-        // March the clock far past one full ring revolution, one event per
-        // bucket width, so every slot is re-labelled at least twice.
-        let mut q = EventQueue::new();
-        let step = SimDuration::from_nanos(1 << BUCKET_SHIFT);
-        let mut t = SimTime::ZERO;
-        for i in 0..(NUM_BUCKETS * 3) {
-            q.schedule_at(t, i);
-            t = t.checked_add(step).unwrap();
-        }
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..NUM_BUCKETS * 3).collect::<Vec<_>>());
     }
 }

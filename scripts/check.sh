@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI-style gate: formatting, lints-as-errors, build, and the test suite.
+# CI-style gate: formatting, lints-as-errors, build, the test suite, and
+# the five artifact determinism gates (chaos, scale, fleet, net, defrag).
 # Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
@@ -39,26 +40,32 @@ assert_deterministic_artifact() {
   cmp "$a/$name.filtered" "$b/$name.filtered"
 }
 
+artifacts="$(mktemp -d)"
+trap 'rm -rf "$artifacts"' EXIT
+
+echo "==> chaos study smoke + determinism (repro --chaos --quick)"
+MICROEDGE_WORKERS=1 cargo run --release -p microedge-bench --bin repro -- --chaos --quick --csv "$artifacts/a"
+MICROEDGE_WORKERS=8 cargo run --release -p microedge-bench --bin repro -- --chaos --quick --csv "$artifacts/b"
+cmp "$artifacts/a/BENCH_chaos.json" "$artifacts/b/BENCH_chaos.json"
+
 echo "==> scale study smoke + sharded-replay determinism (repro --scale --quick)"
-scale_out="$(mktemp -d)"
-trap 'rm -rf "$scale_out"' EXIT
-MICROEDGE_WORKERS=1 cargo run --release -p microedge-bench --bin repro -- --scale --quick --csv "$scale_out/a"
-MICROEDGE_WORKERS=8 cargo run --release -p microedge-bench --bin repro -- --scale --quick --csv "$scale_out/b"
-assert_deterministic_artifact BENCH_scale.json "$scale_out/a" "$scale_out/b"
+MICROEDGE_WORKERS=1 cargo run --release -p microedge-bench --bin repro -- --scale --quick --csv "$artifacts/a"
+MICROEDGE_WORKERS=8 cargo run --release -p microedge-bench --bin repro -- --scale --quick --csv "$artifacts/b"
+assert_deterministic_artifact BENCH_scale.json "$artifacts/a" "$artifacts/b"
 
 echo "==> fleet front-door smoke + determinism (repro --fleet --quick)"
-MICROEDGE_WORKERS=1 cargo run --release -p microedge-bench --bin repro -- --fleet --quick --csv "$scale_out/a"
-MICROEDGE_WORKERS=8 cargo run --release -p microedge-bench --bin repro -- --fleet --quick --csv "$scale_out/b"
-assert_deterministic_artifact BENCH_fleet.json "$scale_out/a" "$scale_out/b"
+MICROEDGE_WORKERS=1 cargo run --release -p microedge-bench --bin repro -- --fleet --quick --csv "$artifacts/a"
+MICROEDGE_WORKERS=8 cargo run --release -p microedge-bench --bin repro -- --fleet --quick --csv "$artifacts/b"
+assert_deterministic_artifact BENCH_fleet.json "$artifacts/a" "$artifacts/b"
 
 echo "==> network chaos smoke + determinism (repro --net --quick)"
-MICROEDGE_WORKERS=1 cargo run --release -p microedge-bench --bin repro -- --net --quick --csv "$scale_out/a"
-MICROEDGE_WORKERS=8 cargo run --release -p microedge-bench --bin repro -- --net --quick --csv "$scale_out/b"
-assert_deterministic_artifact BENCH_net.json "$scale_out/a" "$scale_out/b"
+MICROEDGE_WORKERS=1 cargo run --release -p microedge-bench --bin repro -- --net --quick --csv "$artifacts/a"
+MICROEDGE_WORKERS=8 cargo run --release -p microedge-bench --bin repro -- --net --quick --csv "$artifacts/b"
+assert_deterministic_artifact BENCH_net.json "$artifacts/a" "$artifacts/b"
 
 echo "==> online defragmentation smoke + determinism (repro --defrag --quick)"
-MICROEDGE_WORKERS=1 cargo run --release -p microedge-bench --bin repro -- --defrag --quick --csv "$scale_out/a"
-MICROEDGE_WORKERS=8 cargo run --release -p microedge-bench --bin repro -- --defrag --quick --csv "$scale_out/b"
-assert_deterministic_artifact BENCH_defrag.json "$scale_out/a" "$scale_out/b"
+MICROEDGE_WORKERS=1 cargo run --release -p microedge-bench --bin repro -- --defrag --quick --csv "$artifacts/a"
+MICROEDGE_WORKERS=8 cargo run --release -p microedge-bench --bin repro -- --defrag --quick --csv "$artifacts/b"
+assert_deterministic_artifact BENCH_defrag.json "$artifacts/a" "$artifacts/b"
 
 echo "All checks passed."

@@ -1,6 +1,8 @@
 //! Property-based tests for the simulation kernel and the TPU-units
 //! arithmetic the whole system rests on.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use microedge::core::units::TpuUnits;
@@ -9,29 +11,78 @@ use microedge::sim::series::StepSeries;
 use microedge::sim::stats::{Histogram, OnlineStats};
 use microedge::sim::time::{SimDuration, SimTime};
 
+/// One step of the event-queue differential test; each carries a
+/// millisecond offset from the queue's current time.
+#[derive(Debug, Clone)]
+enum QueueOp {
+    Schedule(u64),
+    PopDue(u64),
+    Advance(u64),
+}
+
+fn queue_op() -> impl Strategy<Value = QueueOp> {
+    prop_oneof![
+        3 => (0u64..40).prop_map(QueueOp::Schedule),
+        2 => (0u64..40).prop_map(QueueOp::PopDue),
+        1 => (0u64..40).prop_map(QueueOp::Advance),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The event queue is a total order: pops are sorted by time, and
-    /// same-time events preserve insertion order.
+    /// The event queue is a total order: deliveries follow `(time,
+    /// insertion)` exactly, checked against a sorted-map reference while
+    /// `schedule_at`, `pop_due` and `advance_to` interleave, so freed slots
+    /// are reused by later events.
     #[test]
-    fn event_queue_total_order(times in prop::collection::vec(0u64..1_000, 1..200)) {
+    fn event_queue_total_order(
+        times in prop::collection::vec(0u64..1_000, 1..200),
+        ops in prop::collection::vec(queue_op(), 0..300),
+    ) {
         let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule_at(SimTime::from_millis(t), i);
+        let mut reference: BTreeMap<(SimTime, u64), usize> = BTreeMap::new();
+        let mut next = 0usize;
+        let mut schedule = |q: &mut EventQueue<usize>, reference: &mut BTreeMap<_, _>, t| {
+            q.schedule_at(t, next);
+            reference.insert((t, next as u64), next);
+            next += 1;
+        };
+        for &t in &times {
+            schedule(&mut q, &mut reference, SimTime::from_millis(t));
         }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some((t, idx)) = q.pop() {
-            if let Some((lt, lidx)) = last {
-                prop_assert!(t >= lt);
-                if t == lt {
-                    prop_assert!(idx > lidx, "insertion order broken on ties");
+        for op in ops {
+            match op {
+                QueueOp::Schedule(ms) => {
+                    let t = q.now() + SimDuration::from_millis(ms);
+                    schedule(&mut q, &mut reference, t);
+                }
+                QueueOp::PopDue(ms) => {
+                    let deadline = q.now() + SimDuration::from_millis(ms);
+                    let expected = match reference.first_key_value() {
+                        Some((&(t, _), _)) if t <= deadline => reference.pop_first(),
+                        _ => None,
+                    };
+                    prop_assert_eq!(q.pop_due(deadline), expected.map(|((t, _), id)| (t, id)));
+                }
+                QueueOp::Advance(ms) => {
+                    // Drain what is due first, as an epoch barrier does.
+                    let barrier = q.now() + SimDuration::from_millis(ms);
+                    while let Some((t, id)) = q.pop_due(barrier) {
+                        prop_assert_eq!(reference.pop_first(), Some(((t, id as u64), id)));
+                    }
+                    q.advance_to(barrier);
+                    prop_assert_eq!(q.now(), barrier);
                 }
             }
-            prop_assert_eq!(SimTime::from_millis(times[idx]), t);
-            last = Some((t, idx));
+            prop_assert_eq!(q.len(), reference.len());
+            prop_assert_eq!(q.peek_time(), reference.keys().next().map(|&(t, _)| t));
         }
-        prop_assert_eq!(q.events_processed(), times.len() as u64);
+        while let Some((t, id)) = q.pop() {
+            prop_assert_eq!(reference.pop_first(), Some(((t, id as u64), id)));
+        }
+        prop_assert!(reference.is_empty());
+        prop_assert_eq!(q.events_processed(), next as u64);
     }
 
     /// StepSeries conserves mass: the weighted sum of window averages
