@@ -89,8 +89,9 @@ impl Default for DefragConfig {
 
 /// One executed donor eviction, as reported back to the runtime layer: the
 /// scheduler-level plan plus its priced disruption. The runtime replays
-/// `plan.moves` into each migrated pod's LBS, re-syncs the donor device,
-/// and holds every migrated stream under a swap guard for `cost`.
+/// `plan.moves` into each migrated pod's LBS, re-syncs every donor and
+/// receiver device once per cycle, and holds every migrated stream under a
+/// swap guard for `cost`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutedMove {
     /// The eviction that was applied to the scheduler.

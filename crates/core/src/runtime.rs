@@ -1387,14 +1387,19 @@ impl World {
     /// Applies new per-stage placements to a stream's load balancers and
     /// reloads the affected devices.
     fn apply_plans(&mut self, stream_id: StreamId, plans: &[crate::scheduler::StagePlacement]) {
-        if let Some(stream) = self.stream_mut(stream_id) {
-            for (stage, (_, allocations)) in stream.stages.iter_mut().zip(plans) {
-                stage.lbs = LbService::from_allocations(allocations);
-            }
-        }
+        self.reseed_lbs(stream_id, plans);
         for (_, allocations) in plans {
             for alloc in allocations {
                 self.sync_device(alloc.tpu());
+            }
+        }
+    }
+
+    /// Re-seeds a stream's per-stage load balancers from new placements.
+    fn reseed_lbs(&mut self, stream_id: StreamId, plans: &[crate::scheduler::StagePlacement]) {
+        if let Some(stream) = self.stream_mut(stream_id) {
+            for (stage, (_, allocations)) in stream.stages.iter_mut().zip(plans) {
+                stage.lbs = LbService::from_allocations(allocations);
             }
         }
     }
@@ -1429,11 +1434,11 @@ impl World {
     /// same swap-seq guard the failure-recovery path uses — so a migration
     /// never races a recovery. Each migrated stream's load-balancer weights
     /// are re-seeded immediately (the move is planned at a quiescent epoch
-    /// barrier, so no in-flight frame observes the old placement), the
-    /// donor's device cache is re-synced, and in chaos mode the stream is
-    /// held under a pending-swap guard for the move's modeled cost so
-    /// rescale/upgrade paths keep their hands off until the migration
-    /// settles.
+    /// barrier, so no in-flight frame observes the old placement), every
+    /// donor and receiver device cache is re-synced once, and in chaos mode
+    /// the stream is held under a pending-swap guard for the move's modeled
+    /// cost so rescale/upgrade paths keep their hands off until the
+    /// migration settles.
     pub fn defrag_epoch(&mut self) {
         let Some(runtime) = self.defrag.as_mut() else {
             return;
@@ -1452,18 +1457,25 @@ impl World {
         }
         let mut stats = DefragStats::default();
         let moves = defrag::run_cycle(&mut self.sched, &frozen, &config, &mut stats);
+        // `run_cycle` has already applied every move to the scheduler and a
+        // device reload overwrites its resident plan, so each touched TPU is
+        // synced once, after the loop, against its final residency.
+        let mut touched = BTreeSet::new();
         for mv in &moves {
+            touched.insert(mv.plan.donor);
             for pod_move in &mv.plan.moves {
                 let sid = self.pods_to_streams[&pod_move.pod];
-                self.apply_plans(sid, &pod_move.plans);
-            }
-            self.sync_device(mv.plan.donor);
-            if mv.cost > SimDuration::ZERO {
-                for pod_move in &mv.plan.moves {
-                    let sid = self.pods_to_streams[&pod_move.pod];
+                self.reseed_lbs(sid, &pod_move.plans);
+                for (_, allocations) in &pod_move.plans {
+                    touched.extend(allocations.iter().map(|alloc| alloc.tpu()));
+                }
+                if mv.cost > SimDuration::ZERO {
                     self.guard_migration(sid, mv.cost);
                 }
             }
+        }
+        for tpu in touched {
+            self.sync_device(tpu);
         }
         if let Some(runtime) = self.defrag.as_mut() {
             runtime.stats.merge(&stats);

@@ -12,15 +12,19 @@
 //! 1. **Partition.** Each shard drains its queue through
 //!    `EventQueue::pop_due(barrier)` (inclusive), so every event is handled
 //!    in exactly one epoch regardless of who else is running.
-//! 2. **Align.** After the parallel step, every shard's clock is advanced
-//!    to the barrier (`World::advance_to`), so barrier-time deliveries are
-//!    legal on all shards.
-//! 3. **Exchange.** Outbound frame exports are collected shard-by-shard and
-//!    sorted by `(time, source shard, stream id)` — a total order over
-//!    messages that does not depend on thread interleaving — then delivered
-//!    to the destination shards' queues. Control-plane commands
-//!    ([`WorldCommand`]) are released from a global mailbox to their owning
-//!    shard the same way, keyed by `(time, submission seq)`.
+//! 2. **Align.** Still inside the parallel step, each shard advances its
+//!    clock to the barrier (`World::advance_to`), so barrier-time
+//!    deliveries are legal on all shards, then runs its defragmenter tick
+//!    (`World::defrag_epoch`) and drains its outbox. All of it touches
+//!    only that shard.
+//! 3. **Exchange.** Serial, like the mailbox release and the fleet and
+//!    network duties. Outbound frame exports are concatenated in shard
+//!    order and stably sorted by `(time, source shard, stream id)` — a
+//!    total order over messages that does not depend on thread
+//!    interleaving — then delivered to the destination shards' queues.
+//!    Control-plane commands ([`WorldCommand`]) are released from a global
+//!    mailbox to their owning shard the same way, keyed by `(time,
+//!    submission seq)`.
 //!
 //! Determinism therefore needs no synchronisation beyond the barrier: the
 //! worker pool only decides *when* a shard's epoch runs, never *what* it
@@ -488,9 +492,10 @@ impl ShardedWorld {
     }
 
     /// Arms the background defragmenter on every shard. Cycles run at
-    /// epoch barriers (every `config.interval_epochs` of them), in the
-    /// serial barrier step and in shard order, on each shard's quiescent
-    /// local state — so repacking is byte-identical at any worker count.
+    /// epoch barriers (every `config.interval_epochs` of them), inside the
+    /// parallel step once each shard has drained to the barrier. A cycle
+    /// reads and writes only its own shard's quiescent local state, so
+    /// repacking is byte-identical at any worker count.
     pub fn enable_defrag(&mut self, config: DefragConfig) {
         for shard in &mut self.shards {
             shard.enable_defrag(config);
@@ -742,30 +747,35 @@ impl ShardedWorld {
             if let Some(n) = net.as_mut() {
                 n.pump_control(barrier, &mut self.shards);
             }
-            // 2. Run every shard to the barrier in parallel. Shards share
-            //    nothing, so workers only decide scheduling, not behaviour.
-            self.shards = par::par_map_with_workers(
-                std::mem::take(&mut self.shards),
-                workers,
-                move |_, mut shard| {
-                    shard.run_until(barrier);
-                    shard
-                },
-            );
-            // 3. Barrier: align clocks, then exchange messages in a
-            //    canonical (time, source shard, stream) order.
+            // 2. Run every shard to the barrier in parallel, then align its
+            //    clock, tick its defragmenter and drain its outbox — all
+            //    shard-local, so workers only decide scheduling, not
+            //    behaviour. With every local event ≤ barrier drained and
+            //    the clock aligned, the shard is quiescent: the safe instant
+            //    for the defragmenter to repack live placements (guard
+            //    events it schedules land strictly after the barrier).
+            let (shards, outboxes): (Vec<World>, Vec<Vec<FrameExport>>) =
+                par::par_map_with_workers(
+                    std::mem::take(&mut self.shards),
+                    workers,
+                    move |_, mut shard| {
+                        shard.run_until(barrier);
+                        shard.advance_to(barrier);
+                        shard.defrag_epoch();
+                        let outbox = shard.take_outbox();
+                        (shard, outbox)
+                    },
+                )
+                .into_iter()
+                .unzip();
+            self.shards = shards;
+            // 3. Barrier exchange, serial: messages in a canonical (time,
+            //    source shard, stream) order. `par_map` returns results in
+            //    shard order and the sort is stable.
             let mut msgs: Vec<(u32, FrameExport)> = Vec::new();
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                shard.advance_to(barrier);
-                // With every local event ≤ barrier drained and the clock
-                // aligned, the shard is quiescent — the safe instant for
-                // the background defragmenter to repack live placements
-                // (guard events it schedules land strictly after the
-                // barrier). Serial and in shard order: worker-count
-                // invariant.
-                shard.defrag_epoch();
+            for (i, outbox) in outboxes.into_iter().enumerate() {
                 let src = u32::try_from(i).expect("shard count fits u32");
-                msgs.extend(shard.take_outbox().into_iter().map(|e| (src, e)));
+                msgs.extend(outbox.into_iter().map(|e| (src, e)));
             }
             msgs.sort_by_key(|(src, e)| (e.at, *src, e.stream));
             let k = u32::try_from(self.shards.len()).expect("shard count fits u32");

@@ -181,8 +181,9 @@ proptest! {
     }
 
     /// With the defragmenter armed at every barrier, sharded replays stay
-    /// byte-identical across worker counts: defrag runs serially at the
-    /// barrier, so threads can never reorder its decisions.
+    /// byte-identical across worker counts: each shard's defrag tick reads
+    /// and writes only that shard, so threads can never reorder its
+    /// decisions.
     #[test]
     fn worker_count_is_invisible_with_defrag(shards in fleet_strategy()) {
         let config = DefragConfig {

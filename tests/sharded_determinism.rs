@@ -3,7 +3,9 @@
 //! byte-identical results at every `MICROEDGE_WORKERS` value, and the
 //! sharding machinery itself must be invisible: a one-shard replay of a
 //! command-free workload is indistinguishable from the plain `World` it
-//! wraps.
+//! wraps. A fixed composed fleet — front door, lossy uplinks, churn,
+//! exports and the defragmenter all armed at once — is held to the same
+//! worker-count invariance.
 //!
 //! The two oracles are deliberately split. Worker-count invariance holds
 //! unconditionally (workers only change which thread steps a shard, never
@@ -16,9 +18,12 @@ use proptest::prelude::*;
 
 use microedge::cluster::topology::ClusterBuilder;
 use microedge::core::config::Features;
+use microedge::core::defrag::DefragConfig;
 use microedge::core::faults::{ClassRates, FaultModel, FaultSchedule};
-use microedge::core::runtime::{RunResults, StreamSpec, World};
-use microedge::core::shard::ShardedWorld;
+use microedge::core::net::{DegradedLink, LinkSchedule, LinkState, NetConfig, NetReport};
+use microedge::core::runtime::{RunResults, StreamSpec, World, WorldCommand};
+use microedge::core::shard::{FleetReport, ShardedWorld};
+use microedge::core::units::TpuUnits;
 use microedge::sim::time::{SimDuration, SimTime};
 use microedge::workloads::apps::CameraApp;
 
@@ -146,5 +151,91 @@ proptest! {
         let oracle = format!("{:?}", world.finish(sharded.end()));
         let sharded = format!("{sharded:?}");
         prop_assert_eq!(&oracle, &sharded, "one-shard replay diverged from the plain World");
+    }
+}
+
+/// One replay of a small fleet with every barrier-touching feature armed at
+/// once: front door with regions and spill, 1 %-lossy uplinks, mid-run
+/// removals and global arrivals, exporting streams, and the defragmenter at
+/// every barrier.
+fn run_composed_fleet(workers: usize) -> (RunResults, FleetReport, NetReport) {
+    const CLUSTERS: u32 = 4;
+    const CAMERAS: u64 = 16;
+    let clusters = (0..CLUSTERS).map(|_| ClusterBuilder::new().trpis(3).vrpis(16).build());
+    let lossy = LinkSchedule::scripted(
+        (0..CLUSTERS)
+            .map(|link| {
+                let state = LinkState::Degraded(DegradedLink::lossy(10_000));
+                (SimTime::ZERO, link, state)
+            })
+            .collect(),
+    );
+    let mut world = ShardedWorld::new(clusters, Features::all())
+        .with_front_door(2, 1)
+        .with_network(NetConfig::new(lossy).with_seed(7));
+    world.enable_defrag(DefragConfig {
+        interval_epochs: 1,
+        ..DefragConfig::default()
+    });
+    let model = |k: u64| {
+        if k.is_multiple_of(2) {
+            "mobilenet-v1"
+        } else {
+            "ssd-mobilenet-v2"
+        }
+    };
+    for shard in 0..CLUSTERS {
+        for i in 0..CAMERAS {
+            let k = u64::from(shard) * CAMERAS + i;
+            let spec = StreamSpec::builder(&format!("cam-{shard}-{i}"), model(k))
+                .units(TpuUnits::from_micro(100_000 + (k * 37_000) % 300_000))
+                .frame_limit(20)
+                .start_offset(SimDuration::from_millis((k * 131) % 1000))
+                .export_completions(i.is_multiple_of(4))
+                .build();
+            let Ok(id) = world.admit_stream(shard, spec) else {
+                continue;
+            };
+            if i.is_multiple_of(2) {
+                let at = SimTime::from_millis(1_000 + (k * 277) % 4_000);
+                world.schedule_command(at, shard, WorldCommand::Remove(id.local));
+            }
+        }
+    }
+    for i in 0..16u64 {
+        let spec = StreamSpec::builder(&format!("late-{i}"), model(i))
+            .units(TpuUnits::from_micro(500_000 + (i * 61_000) % 400_000))
+            .frame_limit(10)
+            .build();
+        let at = SimTime::from_millis(2_000 + i * 350);
+        // Homed mostly in region 0, so it fills and the door spills.
+        world.admit_global(at, u32::from(i % 4 == 3), spec);
+    }
+    world.run_net_with_workers(SimTime::from_secs(60), workers)
+}
+
+/// The composed fleet is byte-identical at every worker count. Each shard's
+/// clock alignment, defragmenter tick and outbox drain run on the worker
+/// pool, so this checks that the thread a shard lands on never changes
+/// what the barrier exchange sees — and that those paths ran.
+#[test]
+fn composed_fleet_is_worker_invariant() {
+    let oracle = run_composed_fleet(1);
+    assert!(oracle.0.defrag().moves > 0, "the defragmenter never moved");
+    assert!(
+        oracle.1.placement.spills > 0,
+        "the front door never spilled"
+    );
+    assert!(
+        oracle.0.remote_ingest().count() > 0,
+        "no export was routed across shards"
+    );
+    let oracle = format!("{oracle:?}");
+    for workers in [2, 8] {
+        let digest = format!("{:?}", run_composed_fleet(workers));
+        assert_eq!(
+            oracle, digest,
+            "composed fleet diverged at {workers} workers"
+        );
     }
 }
