@@ -102,7 +102,9 @@ pub struct PodSpec {
     resources: ResourceRequest,
     node_selector: BTreeMap<String, String>,
     anti_affinity_group: Option<String>,
-    extensions: BTreeMap<String, String>,
+    /// Sorted by key, keys unique: a camera carries two entries, which a
+    /// `BTreeMap` would hold in a ~544-byte leaf node.
+    extensions: Vec<(String, String)>,
 }
 
 impl PodSpec {
@@ -115,7 +117,7 @@ impl PodSpec {
             resources: ResourceRequest::camera_default(),
             node_selector: BTreeMap::new(),
             anti_affinity_group: None,
-            extensions: BTreeMap::new(),
+            extensions: Vec::new(),
         }
     }
 
@@ -149,16 +151,20 @@ impl PodSpec {
         self.anti_affinity_group.as_deref()
     }
 
-    /// All extension key/value pairs.
+    /// All extension key/value pairs, in key order.
     #[must_use]
-    pub fn extensions(&self) -> &BTreeMap<String, String> {
+    pub fn extensions(&self) -> &[(String, String)] {
         &self.extensions
     }
 
     /// Looks up one extension value.
     #[must_use]
     pub fn extension(&self, key: &str) -> Option<&str> {
-        self.extensions.get(key).map(String::as_str)
+        self.extensions
+            .binary_search_by(|(k, _)| k.as_str().cmp(key))
+            .ok()
+            .and_then(|i| self.extensions.get(i))
+            .map(|(_, v)| v.as_str())
     }
 }
 
@@ -170,7 +176,7 @@ pub struct PodSpecBuilder {
     resources: ResourceRequest,
     node_selector: BTreeMap<String, String>,
     anti_affinity_group: Option<String>,
-    extensions: BTreeMap<String, String>,
+    extensions: Vec<(String, String)>,
 }
 
 impl PodSpecBuilder {
@@ -196,10 +202,23 @@ impl PodSpecBuilder {
         self
     }
 
-    /// Adds an extension key/value pair.
+    /// Adds an extension key/value pair, replacing the value of an
+    /// existing key.
     #[must_use]
     pub fn extension(mut self, key: &str, value: &str) -> Self {
-        self.extensions.insert(key.to_owned(), value.to_owned());
+        match self
+            .extensions
+            .binary_search_by(|(k, _)| k.as_str().cmp(key))
+        {
+            Ok(i) => {
+                if let Some((_, v)) = self.extensions.get_mut(i) {
+                    value.clone_into(v);
+                }
+            }
+            Err(i) => self
+                .extensions
+                .insert(i, (key.to_owned(), value.to_owned())),
+        }
         self
     }
 
@@ -242,6 +261,25 @@ mod tests {
         assert_eq!(spec.anti_affinity_group(), Some("coral-pie"));
         assert_eq!(spec.extension(EXT_MODEL), Some("unet-v2"));
         assert_eq!(spec.extension(EXT_TPU_UNITS), None);
+    }
+
+    #[test]
+    fn extensions_keep_map_semantics() {
+        let spec = PodSpec::builder("cam", "img")
+            .extension("z", "1")
+            .extension(EXT_TPU_UNITS, "0.35")
+            .extension("a", "2")
+            .extension(EXT_TPU_UNITS, "0.5")
+            .build();
+        assert_eq!(
+            spec.extension(EXT_TPU_UNITS),
+            Some("0.5"),
+            "last value wins"
+        );
+        let keys: Vec<&str> = spec.extensions().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["a", EXT_TPU_UNITS, "z"], "key order, no duplicates");
+        assert_eq!(spec.extension("missing"), None);
+        assert_eq!(spec.extension(EXT_MODEL), None);
     }
 
     #[test]

@@ -110,8 +110,8 @@ mod tests {
         let mut state = ClusterState::new(&cluster);
         let nodes: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id()).collect();
         // Load node 0 heavily and node 1 lightly.
-        state.bind(PodId(1), spec(3000), nodes[0]);
-        state.bind(PodId(2), spec(1000), nodes[1]);
+        state.bind(PodId(1), &spec(3000), nodes[0]);
+        state.bind(PodId(2), &spec(1000), nodes[1]);
 
         let ranked = DefaultScheduler::new().candidate_nodes(&cluster, &state, &spec(100));
         assert_eq!(ranked[0], nodes[2], "untouched node first");
@@ -124,7 +124,7 @@ mod tests {
         let cluster = ClusterBuilder::new().vrpis(1).build();
         let mut state = ClusterState::new(&cluster);
         let node = cluster.nodes()[0].id();
-        state.bind(PodId(1), spec(4000), node);
+        state.bind(PodId(1), &spec(4000), node);
         let ranked = DefaultScheduler::new().candidate_nodes(&cluster, &state, &spec(1));
         assert!(ranked.is_empty());
     }
@@ -156,11 +156,11 @@ mod tests {
         };
         let sched = DefaultScheduler::new();
         let first = sched.candidate_nodes(&cluster, &state, &grouped("a"))[0];
-        state.bind(PodId(1), grouped("a"), first);
+        state.bind(PodId(1), &grouped("a"), first);
         let remaining = sched.candidate_nodes(&cluster, &state, &grouped("b"));
         assert_eq!(remaining.len(), 1);
         assert_ne!(remaining[0], first);
-        state.bind(PodId(2), grouped("b"), remaining[0]);
+        state.bind(PodId(2), &grouped("b"), remaining[0]);
         assert!(sched
             .candidate_nodes(&cluster, &state, &grouped("c"))
             .is_empty());
@@ -212,7 +212,7 @@ mod tests {
                     let cpu = 100 + (next() % 900) as u32;
                     if let Some(node) = sched.best_node(&cluster, &state, &spec(cpu)) {
                         pod_seq += 1;
-                        state.bind(PodId(pod_seq), spec(cpu), node);
+                        state.bind(PodId(pod_seq), &spec(cpu), node);
                         bound.push(PodId(pod_seq));
                     }
                 }
@@ -257,7 +257,7 @@ mod tests {
         }
         let first = sched.best_node(&cluster, &state, &selected).unwrap();
         assert!(cluster.node(first).unwrap().has_tpu());
-        state.bind(PodId(1), grouped.clone(), first);
+        state.bind(PodId(1), &grouped, first);
         let next_spread = PodSpec::builder("g2", "i")
             .resources(ResourceRequest::new(100, 1024))
             .anti_affinity_group("spread")

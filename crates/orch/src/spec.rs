@@ -314,6 +314,19 @@ extensions:
     }
 
     #[test]
+    fn extension_order_in_yaml_does_not_matter() {
+        let parsed = parse_pod_spec(
+            "name: cam\nimage: i\nextensions:\n  microedge.io/tpu-units: \"0.35\"\n  microedge.io/model: ssd-mobilenet-v2\n",
+        )
+        .unwrap();
+        let built = PodSpec::builder("cam", "i")
+            .extension(EXT_MODEL, "ssd-mobilenet-v2")
+            .extension(EXT_TPU_UNITS, "0.35")
+            .build();
+        assert_eq!(parsed, built);
+    }
+
+    #[test]
     fn minimal_spec_uses_defaults() {
         let spec = parse_pod_spec("name: p\nimage: i\n").unwrap();
         assert_eq!(spec.resources(), ResourceRequest::camera_default());

@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use microedge_cluster::node::NodeId;
 use microedge_cluster::topology::Cluster;
 
-use crate::pod::{PodId, PodSpec};
+use crate::pod::{PodId, PodSpec, ResourceRequest};
 
 /// Entry of the ranked availability index: `(remaining CPU, remaining
 /// memory, Reverse(node id))`, so that *descending* set order is exactly
@@ -43,11 +43,13 @@ impl NodeAvailability {
     }
 }
 
-/// A pod bound to a node.
+/// A pod bound to a node: only what unbinding and anti-affinity need, since
+/// the orchestrator's pod record owns the full spec.
 #[derive(Debug, Clone)]
 struct Binding {
-    spec: PodSpec,
     node: NodeId,
+    resources: ResourceRequest,
+    anti_affinity_group: Option<String>,
 }
 
 /// Tracks bindings and per-node allocations for one cluster.
@@ -63,7 +65,7 @@ struct Binding {
 /// let mut state = ClusterState::new(&cluster);
 /// let spec = PodSpec::builder("p", "i").build();
 /// let node = cluster.nodes()[0].id();
-/// state.bind(PodId(0), spec, node);
+/// state.bind(PodId(0), &spec, node);
 /// assert_eq!(state.pods_on(node).len(), 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -136,23 +138,28 @@ impl ClusterState {
     /// Panics if the node is unknown, the pod id is already bound, or the
     /// requests do not fit — callers must check with
     /// [`NodeAvailability::fits`] first (the scheduler does).
-    pub fn bind(&mut self, pod: PodId, spec: PodSpec, node: NodeId) {
+    pub fn bind(&mut self, pod: PodId, spec: &PodSpec, node: NodeId) {
+        let resources = spec.resources();
         let avail = self
             .availability
             .get_mut(&node)
             .unwrap_or_else(|| panic!("unknown node {node}"));
         assert!(
-            avail.cpu_millis >= spec.resources().cpu_millis()
-                && avail.mem_bytes >= spec.resources().mem_bytes(),
+            avail.cpu_millis >= resources.cpu_millis() && avail.mem_bytes >= resources.mem_bytes(),
             "binding {pod} to {node} would oversubscribe the node"
         );
         self.ranked
             .remove(&(avail.cpu_millis, avail.mem_bytes, Reverse(node)));
-        avail.cpu_millis -= spec.resources().cpu_millis();
-        avail.mem_bytes -= spec.resources().mem_bytes();
+        avail.cpu_millis -= resources.cpu_millis();
+        avail.mem_bytes -= resources.mem_bytes();
         self.ranked
             .insert((avail.cpu_millis, avail.mem_bytes, Reverse(node)));
-        let prev = self.bindings.insert(pod, Binding { spec, node });
+        let binding = Binding {
+            node,
+            resources,
+            anti_affinity_group: spec.anti_affinity_group().map(str::to_owned),
+        };
+        let prev = self.bindings.insert(pod, binding);
         assert!(prev.is_none(), "{pod} is already bound");
     }
 
@@ -166,8 +173,8 @@ impl ClusterState {
             .expect("bound node must exist");
         self.ranked
             .remove(&(avail.cpu_millis, avail.mem_bytes, Reverse(binding.node)));
-        avail.cpu_millis += binding.spec.resources().cpu_millis();
-        avail.mem_bytes += binding.spec.resources().mem_bytes();
+        avail.cpu_millis += binding.resources.cpu_millis();
+        avail.mem_bytes += binding.resources.mem_bytes();
         self.ranked
             .insert((avail.cpu_millis, avail.mem_bytes, Reverse(binding.node)));
         Some(binding.node)
@@ -199,12 +206,6 @@ impl ClusterState {
         self.bindings.get(&pod).map(|b| b.node)
     }
 
-    /// The spec `pod` was bound with, if any.
-    #[must_use]
-    pub fn spec_of(&self, pod: PodId) -> Option<&PodSpec> {
-        self.bindings.get(&pod).map(|b| &b.spec)
-    }
-
     /// Ids of all pods currently bound to `node`.
     #[must_use]
     pub fn pods_on(&self, node: NodeId) -> Vec<PodId> {
@@ -221,7 +222,7 @@ impl ClusterState {
     pub fn group_present_on(&self, node: NodeId, group: &str) -> bool {
         self.bindings
             .values()
-            .any(|b| b.node == node && b.spec.anti_affinity_group() == Some(group))
+            .any(|b| b.node == node && b.anti_affinity_group.as_deref() == Some(group))
     }
 
     /// Number of bound pods.
@@ -254,7 +255,7 @@ mod tests {
         let (c, node) = one_node();
         let mut st = ClusterState::new(&c);
         let before = st.availability(node).unwrap();
-        st.bind(PodId(1), spec(1000, 1024), node);
+        st.bind(PodId(1), &spec(1000, 1024), node);
         let during = st.availability(node).unwrap();
         assert_eq!(during.cpu_millis(), before.cpu_millis() - 1000);
         assert_eq!(during.mem_bytes(), before.mem_bytes() - 1024);
@@ -276,8 +277,8 @@ mod tests {
     fn binding_beyond_capacity_panics() {
         let (c, node) = one_node();
         let mut st = ClusterState::new(&c);
-        st.bind(PodId(1), spec(4000, 1024), node);
-        st.bind(PodId(2), spec(1, 1024), node);
+        st.bind(PodId(1), &spec(4000, 1024), node);
+        st.bind(PodId(2), &spec(1, 1024), node);
     }
 
     #[test]
@@ -285,8 +286,8 @@ mod tests {
     fn double_bind_panics() {
         let (c, node) = one_node();
         let mut st = ClusterState::new(&c);
-        st.bind(PodId(1), spec(1, 1), node);
-        st.bind(PodId(1), spec(1, 1), node);
+        st.bind(PodId(1), &spec(1, 1), node);
+        st.bind(PodId(1), &spec(1, 1), node);
     }
 
     #[test]
@@ -297,7 +298,7 @@ mod tests {
             .resources(ResourceRequest::new(1, 1))
             .anti_affinity_group("g")
             .build();
-        st.bind(PodId(1), grouped, node);
+        st.bind(PodId(1), &grouped, node);
         assert!(st.group_present_on(node, "g"));
         assert!(!st.group_present_on(node, "other"));
     }
@@ -306,12 +307,11 @@ mod tests {
     fn pods_on_lists_bound_pods() {
         let (c, node) = one_node();
         let mut st = ClusterState::new(&c);
-        st.bind(PodId(1), spec(1, 1), node);
-        st.bind(PodId(2), spec(1, 1), node);
+        st.bind(PodId(1), &spec(1, 1), node);
+        st.bind(PodId(2), &spec(1, 1), node);
         let mut pods = st.pods_on(node);
         pods.sort();
         assert_eq!(pods, vec![PodId(1), PodId(2)]);
-        assert!(st.spec_of(PodId(1)).is_some());
     }
 
     #[test]
