@@ -2639,6 +2639,10 @@ impl World {
     /// Panics if `end` precedes the last processed event.
     #[must_use]
     pub fn finish(self, end: SimTime) -> RunResults {
+        // The queue's buffers are dead weight from here on; free them
+        // before building the result maps, where a large run peaks in RSS.
+        let events_processed = self.queue.events_processed();
+        drop(self.queue);
         let reports = self
             .streams
             .iter()
@@ -2698,7 +2702,7 @@ impl World {
             max_queue_depths: self.services.iter().map(|s| s.max_depth).collect(),
             used_tpus: self.sched.pool().used_tpus(),
             frames_dropped: self.frames_dropped,
-            events_processed: self.queue.events_processed(),
+            events_processed,
             end,
             recovery,
             availability,

@@ -1,18 +1,30 @@
 //! Deterministic event queue.
 //!
-//! The queue orders events by `(time, sequence)`, where the sequence number
-//! is assigned at insertion. Two events scheduled for the same instant are
-//! therefore delivered in insertion order, which keeps simulations
-//! reproducible bit-for-bit.
+//! The queue delivers events in `(time, insertion)` order: two events
+//! scheduled for the same instant are delivered in insertion order, which
+//! keeps simulations reproducible bit-for-bit.
 //!
 //! # Implementation
 //!
-//! One std [`BinaryHeap`] holds only `(time, seq, slot)` keys; each event's
-//! payload sits in slot `slot` of a slab that reuses freed slots through a
-//! free list, so the heap sifts 24-byte keys however large the events
-//! are. `seq` is unique, so tuple order is exactly `(time, seq)` and the
-//! slot never decides an order; `sim_properties::event_queue_total_order`
-//! checks delivery against a sorted-map reference.
+//! A monotone radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, 1990).
+//! Simulated time never moves backwards, so no pending event is earlier
+//! than `last`, the time of the most recent refill. An event at `last`
+//! waits in the `due` FIFO; any other event waits in bucket `i`, where bit
+//! `i` is the highest bit in which its time differs from `last`. Scheduling
+//! appends to one list. When `due` runs dry, the lowest non-empty bucket
+//! holds the minimum: `last` moves to it and that bucket's entries are
+//! re-placed, in list order, into `due` and strictly lower buckets. An
+//! event moves at most 64 times over its life, each move a sequential
+//! append, where a binary heap sifts through `log2(len)` random levels on
+//! every pop.
+//!
+//! Ties need no sequence number. A push appends the newest event, and a
+//! refill moves one list, in order, into lists that are all empty at that
+//! moment; so every list stays in insertion order and equal times pop
+//! FIFO. Each event's payload sits in a slab slot that is reused through a
+//! free list, so the lists move 16-byte `(time, slot)` entries however
+//! large the events are. `sim_properties::event_queue_total_order` checks
+//! delivery against a sorted-map reference.
 //!
 //! # Examples
 //!
@@ -31,10 +43,18 @@
 //! assert_eq!(q.pop(), Some((SimTime::from_millis(71), "c")));
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::time::{SimDuration, SimTime};
+
+/// One bucket per bit of a [`SimTime`].
+const BUCKETS: usize = 64;
+
+/// A refill keeps the emptied bucket's buffer for its next fill only up to
+/// this capacity (or a quarter of the pending count, if larger). Dropping
+/// larger buffers keeps retained capacity near the pending count; kept,
+/// they climb to several times it.
+const KEPT_CAPACITY: usize = 64;
 
 /// A deterministic future-event list for discrete-event simulation.
 ///
@@ -43,14 +63,20 @@ use crate::time::{SimDuration, SimTime};
 /// and events may never be scheduled in the past.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Min-heap of `(time, seq, slot)` keys, one per pending event.
-    keys: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    /// `buckets[i]`: `(time, slot)` of the pending events whose time first
+    /// differs from `last` at bit `i`, in insertion order.
+    buckets: [Vec<(SimTime, usize)>; BUCKETS],
+    /// Bit `i` is set when `buckets[i]` is non-empty.
+    occupied: u64,
+    /// Slots of the pending events at `last`, in insertion order.
+    due: VecDeque<usize>,
+    /// Time of the most recent refill; never later than `now`.
+    last: SimTime,
     /// Event payloads by slot; `None` marks a free slot.
     slots: Vec<Option<E>>,
     /// Free slots, reused before `slots` grows.
     free: Vec<usize>,
     now: SimTime,
-    next_seq: u64,
     popped: u64,
 }
 
@@ -65,11 +91,13 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            keys: BinaryHeap::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            due: VecDeque::new(),
+            last: SimTime::ZERO,
             slots: Vec::new(),
             free: Vec::new(),
             now: SimTime::ZERO,
-            next_seq: 0,
             popped: 0,
         }
     }
@@ -84,13 +112,13 @@ impl<E> EventQueue<E> {
     /// Number of events waiting in the queue.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.slots.len() - self.free.len()
     }
 
     /// `true` when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len() == 0
     }
 
     /// Total number of events delivered so far.
@@ -111,8 +139,6 @@ impl<E> EventQueue<E> {
             "cannot schedule event at {time} before current time {now}",
             now = self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot] = Some(event);
@@ -123,7 +149,7 @@ impl<E> EventQueue<E> {
                 self.slots.len() - 1
             }
         };
-        self.keys.push(Reverse((time, seq, slot)));
+        self.place(time, slot);
     }
 
     /// Schedules `event` at `delay` after the current time.
@@ -145,18 +171,24 @@ impl<E> EventQueue<E> {
     /// `until`; otherwise the queue is left untouched and `None` is
     /// returned. Event-loop drivers call this instead of a peek/pop pair.
     pub fn pop_due(&mut self, until: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? > until {
+        if self.due.is_empty() {
+            let (bucket, min) = self.lowest_bucket()?;
+            if min > until {
+                return None;
+            }
+            self.refill(bucket, min);
+        } else if self.last > until {
             return None;
         }
-        let Reverse((time, _, slot)) = self.keys.pop()?;
+        let slot = self.due.pop_front()?;
         let event = self.slots[slot]
             .take()
-            .expect("a pending key owns its slot");
+            .expect("a pending entry owns its slot");
         self.free.push(slot);
-        debug_assert!(time >= self.now, "event queue went backwards");
-        self.now = time;
+        debug_assert!(self.last >= self.now, "event queue went backwards");
+        self.now = self.last;
         self.popped += 1;
-        Some((time, event))
+        Some((self.now, event))
     }
 
     /// Advances the clock to `time` without delivering anything — the epoch
@@ -186,15 +218,59 @@ impl<E> EventQueue<E> {
     }
 
     /// The timestamp of the earliest pending event, if any, without popping.
+    /// Scans the lowest bucket but never refills, so `last` stays at or
+    /// before `now` and a later `schedule_at(now)` cannot land below it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.keys.peek().map(|Reverse((time, _, _))| *time)
+        if self.due.is_empty() {
+            self.lowest_bucket().map(|(_, min)| min)
+        } else {
+            Some(self.last)
+        }
+    }
+
+    /// Files a pending entry under `last`: into `due` at `last`, otherwise
+    /// at the end of the bucket of the highest bit that differs.
+    fn place(&mut self, time: SimTime, slot: usize) {
+        let diff = time.as_nanos() ^ self.last.as_nanos();
+        if diff == 0 {
+            self.due.push_back(slot);
+        } else {
+            let bucket = BUCKETS - 1 - diff.leading_zeros() as usize;
+            self.buckets[bucket].push((time, slot));
+            self.occupied |= 1 << bucket;
+        }
+    }
+
+    /// The lowest non-empty bucket and its earliest time.
+    fn lowest_bucket(&self) -> Option<(usize, SimTime)> {
+        let bucket = self.occupied.trailing_zeros() as usize;
+        let min = self.buckets.get(bucket)?.iter().map(|&(t, _)| t).min()?;
+        Some((bucket, min))
+    }
+
+    /// Moves `last` up to `min`, the earliest time in `bucket`, and
+    /// re-places that bucket's entries in list order. They all share the
+    /// bits above `bucket` with the new `last`, so each lands in `due` or a
+    /// lower bucket, every one of them empty until now.
+    fn refill(&mut self, bucket: usize, min: SimTime) {
+        self.last = min;
+        self.occupied &= !(1 << bucket);
+        let mut entries = std::mem::take(&mut self.buckets[bucket]);
+        for &(time, slot) in &entries {
+            self.place(time, slot);
+        }
+        if entries.capacity() <= KEPT_CAPACITY.max(self.len() / 4) {
+            entries.clear();
+            self.buckets[bucket] = entries;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::DetRng;
 
     #[test]
     fn pops_in_time_order() {
@@ -264,8 +340,9 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cross_the_overflow_tier() {
-        // An hour out: the clock jumps straight to it once "near" is gone.
+    fn far_future_event_pops_after_near_ones() {
+        // An hour out lands in a high bucket; once "near" is gone the clock
+        // jumps straight to it.
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(3600), "far");
         q.schedule_at(SimTime::from_millis(1), "near");
@@ -277,12 +354,12 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_tiers_keep_global_order() {
-        // Mix near, mid and far events and check against a straight sort of
-        // the (time, insertion) pairs.
+    fn scattered_times_pop_in_global_order() {
+        // Times spread over many buckets, with repeats, checked against a
+        // straight sort of the (time, insertion) pairs.
         let mut q = EventQueue::new();
         let mut expected = Vec::new();
-        let offsets_ms = [0, 1, 70, 200, 3, 500, 65, 2, 1000, 130, 4, 260];
+        let offsets_ms = [0, 1, 70, 200, 3, 500, 65, 2, 1000, 130, 4, 260, 70, 0];
         for (i, ms) in offsets_ms.into_iter().enumerate() {
             q.schedule_at(SimTime::from_millis(ms), i);
             expected.push((SimTime::from_millis(ms), i));
@@ -294,9 +371,10 @@ mod tests {
     }
 
     #[test]
-    fn insert_into_live_bucket_preserves_order() {
-        // Pop one event, then schedule more within the same 100 µs:
-        // delivery order must still follow (time, seq).
+    fn schedule_between_pops_preserves_order() {
+        // After the first pop refills, new events land below and on a
+        // pending time already filed in a bucket: delivery order must
+        // still follow (time, insertion).
         let mut q = EventQueue::new();
         let base = SimTime::from_millis(1);
         q.schedule_at(base, 0);
@@ -306,6 +384,44 @@ mod tests {
         q.schedule_at(base + SimDuration::from_micros(100), 3); // tie with 2
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn retained_bucket_capacity_stays_bounded() {
+        // The perfbench hold model: pop the earliest event and reschedule
+        // it within a 1 s horizon, cycling through 4096 uniform draws, for
+        // 100 simulated seconds. Buffers a refill empties must not pile up
+        // capacity far beyond the pending count.
+        let horizon = SimDuration::from_secs(1).as_nanos();
+        for depth in [2_000, 100_000] {
+            let mut rng = DetRng::seed_from(depth as u64);
+            let mut q = EventQueue::new();
+            for e in 0..depth {
+                q.schedule_at(SimTime::from_nanos(rng.uniform_range(0, horizon)), e);
+            }
+            let jitter: Vec<SimDuration> = (0..4096)
+                .map(|_| SimDuration::from_nanos(rng.uniform_range(1, horizon)))
+                .collect();
+            let bound = 4 * depth + BUCKETS * KEPT_CAPACITY;
+            for delay in jitter.iter().cycle() {
+                let (at, e) = q.pop().expect("the hold keeps the queue full");
+                if at > SimTime::from_secs(100) {
+                    break;
+                }
+                q.schedule_at(at + *delay, e);
+                // A grown buffer lives until its bucket's next refill, so
+                // sampling every 64 holds sees it (and keeps debug runs
+                // short).
+                if q.events_processed() % 64 != 0 {
+                    continue;
+                }
+                let capacity: usize = q.buckets.iter().map(Vec::capacity).sum();
+                assert!(
+                    capacity <= bound,
+                    "{capacity} entries of bucket capacity at depth {depth}, at {at}"
+                );
+            }
+        }
     }
 
     #[test]

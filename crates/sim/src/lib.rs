@@ -6,8 +6,8 @@
 //! The foundation every other crate in the MicroEdge reproduction builds on:
 //!
 //! - [`time`] — integer-nanosecond virtual time ([`SimTime`], [`SimDuration`]);
-//! - [`event`] — a deterministic future-event list ([`EventQueue`]): one
-//!   std binary heap with stable `(time, insertion-seq)` ordering;
+//! - [`event`] — a deterministic future-event list ([`EventQueue`]): a
+//!   monotone radix heap with stable `(time, insertion)` ordering;
 //! - [`rng`] — seeded random generation with the distribution samplers the
 //!   workload models need ([`DetRng`]);
 //! - [`stats`] — online moments, exact-percentile histograms (the

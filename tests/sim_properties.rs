@@ -11,30 +11,57 @@ use microedge::sim::series::StepSeries;
 use microedge::sim::stats::{Histogram, OnlineStats};
 use microedge::sim::time::{SimDuration, SimTime};
 
-/// One step of the event-queue differential test; each carries a
-/// millisecond offset from the queue's current time.
+/// One step of the event-queue differential test. Offsets are
+/// nanoseconds from the queue's current time, saturating at `u64::MAX`.
 #[derive(Debug, Clone)]
 enum QueueOp {
+    /// Schedules one event `offset` after now.
     Schedule(u64),
-    PopDue(u64),
+    /// Schedules `count` events at one instant `offset` after now, so ties
+    /// straddle the refills that later pops make.
+    Burst(usize, u64),
+    /// Schedules one event this many nanoseconds before `u64::MAX` (or now,
+    /// if that is later).
+    NearMax(u64),
+    /// `pop_due` with a deadline this many nanoseconds after now (before
+    /// now, if negative).
+    PopDue(i64),
+    /// Drains to a barrier `offset` after now, then `advance_to`s it.
     Advance(u64),
+}
+
+const MS: u64 = 1_000_000;
+const HOUR: u64 = 3_600 * 1_000 * MS;
+
+/// Offsets of whole milliseconds, of a few nanoseconds (ties and next
+/// neighbours), or of hours.
+fn offset() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        4 => (0u64..40).prop_map(|ms| ms * MS),
+        2 => 0u64..4,
+        1 => (1u64..48).prop_map(|h| h * HOUR),
+    ]
 }
 
 fn queue_op() -> impl Strategy<Value = QueueOp> {
     prop_oneof![
-        3 => (0u64..40).prop_map(QueueOp::Schedule),
-        2 => (0u64..40).prop_map(QueueOp::PopDue),
-        1 => (0u64..40).prop_map(QueueOp::Advance),
+        3 => offset().prop_map(QueueOp::Schedule),
+        1 => (1usize..8, 0u64..4).prop_map(|(count, ns)| QueueOp::Burst(count, ns)),
+        1 => (0u64..1 << 32).prop_map(QueueOp::NearMax),
+        2 => offset().prop_map(|ns| QueueOp::PopDue(ns as i64)),
+        1 => (1i64..1_000).prop_map(|ns| QueueOp::PopDue(-ns)),
+        1 => offset().prop_map(QueueOp::Advance),
     ]
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The event queue is a total order: deliveries follow `(time,
     /// insertion)` exactly, checked against a sorted-map reference while
     /// `schedule_at`, `pop_due` and `advance_to` interleave, so freed slots
-    /// are reused by later events.
+    /// are reused by later events. Times range from nanosecond ties through
+    /// hour-long jumps to the last 2^32 ns before `u64::MAX`.
     #[test]
     fn event_queue_total_order(
         times in prop::collection::vec(0u64..1_000, 1..200),
@@ -48,26 +75,44 @@ proptest! {
             reference.insert((t, next as u64), next);
             next += 1;
         };
+        let after = |q: &EventQueue<usize>, ns: u64| {
+            SimTime::from_nanos(q.now().as_nanos().saturating_add(ns))
+        };
         for &t in &times {
             schedule(&mut q, &mut reference, SimTime::from_millis(t));
         }
         for op in ops {
             match op {
-                QueueOp::Schedule(ms) => {
-                    let t = q.now() + SimDuration::from_millis(ms);
+                QueueOp::Schedule(ns) => {
+                    let t = after(&q, ns);
                     schedule(&mut q, &mut reference, t);
                 }
-                QueueOp::PopDue(ms) => {
-                    let deadline = q.now() + SimDuration::from_millis(ms);
+                QueueOp::Burst(count, ns) => {
+                    let t = after(&q, ns);
+                    for _ in 0..count {
+                        schedule(&mut q, &mut reference, t);
+                    }
+                }
+                QueueOp::NearMax(ns) => {
+                    let t = SimTime::from_nanos(u64::MAX - ns).max(q.now());
+                    schedule(&mut q, &mut reference, t);
+                }
+                QueueOp::PopDue(ns) => {
+                    let deadline = match u64::try_from(ns) {
+                        Ok(ns) => after(&q, ns),
+                        Err(_) => SimTime::from_nanos(
+                            q.now().as_nanos().saturating_sub(ns.unsigned_abs()),
+                        ),
+                    };
                     let expected = match reference.first_key_value() {
                         Some((&(t, _), _)) if t <= deadline => reference.pop_first(),
                         _ => None,
                     };
                     prop_assert_eq!(q.pop_due(deadline), expected.map(|((t, _), id)| (t, id)));
                 }
-                QueueOp::Advance(ms) => {
+                QueueOp::Advance(ns) => {
                     // Drain what is due first, as an epoch barrier does.
-                    let barrier = q.now() + SimDuration::from_millis(ms);
+                    let barrier = after(&q, ns);
                     while let Some((t, id)) = q.pop_due(barrier) {
                         prop_assert_eq!(reference.pop_first(), Some(((t, id as u64), id)));
                     }
