@@ -223,6 +223,12 @@ pub fn run_scale(quick: bool) -> ScaleStudy {
     }
 }
 
+/// The host's core count, recorded on every `host_` line so a reader can
+/// tell how many threads really ran (`host_workers` may exceed it).
+pub(crate) fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Formats an optional byte count as a JSON number or `null`.
 pub(crate) fn json_opt_u64(value: Option<u64>) -> String {
     value.map_or_else(|| "null".to_owned(), |v| v.to_string())
@@ -241,7 +247,7 @@ impl ScaleStudy {
             let comma = if i + 1 < self.points.len() { "," } else { "" };
             let _ = write!(
                 points,
-                "\n    {{\"streams\": {}, \"tpus\": {}, \"nodes\": {}, \"frames\": {}, \"events\": {}, \"telemetry_bytes\": {}, \"telemetry_bytes_per_stream\": {:.3},\n      \"host_events_per_sec\": {:.1}, \"host_replay_wall_s\": {:.3}, \"host_peak_rss_bytes\": {}}}{comma}",
+                "\n    {{\"streams\": {}, \"tpus\": {}, \"nodes\": {}, \"frames\": {}, \"events\": {}, \"telemetry_bytes\": {}, \"telemetry_bytes_per_stream\": {:.3},\n      \"host_events_per_sec\": {:.1}, \"host_replay_wall_s\": {:.3}, \"host_cores\": {}, \"host_peak_rss_bytes\": {}}}{comma}",
                 p.streams,
                 p.tpus,
                 p.nodes,
@@ -251,6 +257,7 @@ impl ScaleStudy {
                 p.telemetry_bytes_per_stream(),
                 p.events_per_sec(),
                 p.run_wall_s,
+                host_cores(),
                 json_opt_u64(p.peak_rss_bytes),
             );
         }

@@ -28,7 +28,8 @@ use microedge_sim::par;
 use microedge_sim::time::{SimDuration, SimTime};
 
 use crate::scale::{
-    json_opt_u64, peak_rss_bytes, size_cluster, ScaleStudy, SCALE_FPS, SCALE_FRAME_LIMIT,
+    host_cores, json_opt_u64, peak_rss_bytes, size_cluster, ScaleStudy, SCALE_FPS,
+    SCALE_FRAME_LIMIT,
 };
 
 /// Every `EXPORT_STRIDE`-th camera of each shard export-flags its
@@ -200,7 +201,7 @@ impl ShardedScaleStudy {
             let comma = if i + 1 < self.points.len() { "," } else { "" };
             let _ = write!(
                 points,
-                "\n      {{\"streams\": {}, \"shards\": {}, \"tpus\": {}, \"nodes\": {}, \"frames\": {}, \"events\": {}, \"exports\": {}, \"telemetry_bytes\": {},\n        \"host_events_per_sec\": {:.1}, \"host_replay_wall_s\": {:.3}, \"host_workers\": {}, \"host_peak_rss_bytes\": {}}}{comma}",
+                "\n      {{\"streams\": {}, \"shards\": {}, \"tpus\": {}, \"nodes\": {}, \"frames\": {}, \"events\": {}, \"exports\": {}, \"telemetry_bytes\": {},\n        \"host_events_per_sec\": {:.1}, \"host_replay_wall_s\": {:.3}, \"host_workers\": {}, \"host_cores\": {}, \"host_peak_rss_bytes\": {}}}{comma}",
                 p.streams,
                 p.shards,
                 p.tpus,
@@ -212,6 +213,7 @@ impl ShardedScaleStudy {
                 p.events_per_sec(),
                 p.run_wall_s,
                 p.workers,
+                host_cores(),
                 json_opt_u64(p.peak_rss_bytes),
             );
         }

@@ -28,6 +28,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use microedge_sim::inline::Inline;
 use microedge_tpu::device::TpuId;
 
 use crate::pool::Allocation;
@@ -44,7 +45,9 @@ struct Target {
 /// one pod.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LbService {
-    targets: Vec<Target>,
+    /// Inline when there is one target, the common case: the per-frame
+    /// pick then reads no second heap allocation.
+    targets: Inline<Target>,
     total: i64,
 }
 
@@ -62,7 +65,7 @@ impl LbService {
             !allocations.is_empty(),
             "LBS requires at least one TPU target"
         );
-        let targets: Vec<Target> = allocations
+        let targets: Inline<Target> = allocations
             .iter()
             .map(|a| Target {
                 tpu: a.tpu(),
@@ -106,7 +109,7 @@ impl LbService {
             // configuration. Dispatch to the first target deterministically.
             return self.targets.first().expect("targets is non-empty").tpu;
         }
-        for t in &mut self.targets {
+        for t in self.targets.iter_mut() {
             t.current += t.weight;
         }
         let best = self
@@ -231,7 +234,7 @@ mod tests {
         // produced internally (e.g. by a degenerate rounding); construct it
         // directly to pin the deterministic fallback.
         let mut l = LbService {
-            targets: vec![
+            targets: Inline::Many(vec![
                 Target {
                     tpu: TpuId(4),
                     weight: 0,
@@ -242,7 +245,7 @@ mod tests {
                     weight: 0,
                     current: 0,
                 },
-            ],
+            ]),
             total: 0,
         };
         for _ in 0..10 {

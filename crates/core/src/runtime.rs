@@ -79,6 +79,7 @@ use microedge_models::profile::{ModelId, ModelProfile};
 use microedge_orch::lifecycle::Orchestrator;
 use microedge_orch::pod::{PodId, PodSpec, ResourceRequest, EXT_MODEL, EXT_TPU_UNITS};
 use microedge_sim::event::EventQueue;
+use microedge_sim::inline::Inline;
 use microedge_sim::rng::DetRng;
 use microedge_sim::series::StepSeries;
 use microedge_sim::stats::{LogLinearSketch, OnlineStats};
@@ -430,7 +431,9 @@ impl fmt::Display for StreamPhase {
 struct StreamRuntime {
     pod: PodId,
     spec: StreamSpec,
-    stages: Vec<StageRuntime>,
+    /// Inline for a single-stage stream, the common case: `on_frame` then
+    /// reaches the stage's LBS without a heap hop.
+    stages: Inline<StageRuntime>,
     audit: ThroughputAudit,
     latency: OnlineStats,
     interval: SimDuration,
@@ -538,6 +541,10 @@ enum Ev {
     /// its end-to-end latency, recorded into the remote-ingest sketch.
     Ingest(SimDuration),
 }
+
+// The queue's payload slab moves whole `Ev`s on every schedule and pop;
+// keep the largest variant from growing unnoticed.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 56);
 
 /// Per-component fault bookkeeping (one per TPU, one per node — link
 /// partitions share the node slot since the detector cannot tell them
@@ -1243,7 +1250,7 @@ impl World {
     ) -> Result<StreamId, DeployError> {
         let (pod_spec, profiles) = self.build_pod_spec(&spec)?;
         let deployment = self.sched.deploy(&mut self.orch, pod_spec)?;
-        let stages: Vec<StageRuntime> = deployment
+        let stages: Inline<StageRuntime> = deployment
             .stages()
             .iter()
             .zip(profiles)
@@ -2639,10 +2646,16 @@ impl World {
     /// Panics if `end` precedes the last processed event.
     #[must_use]
     pub fn finish(self, end: SimTime) -> RunResults {
-        // The queue's buffers are dead weight from here on; free them
-        // before building the result maps, where a large run peaks in RSS.
+        // The queue and the control plane are dead weight from here on;
+        // free them before building the result maps, where a large run
+        // peaks in RSS.
         let events_processed = self.queue.events_processed();
+        let used_tpus = self.sched.pool().used_tpus();
         drop(self.queue);
+        drop(self.orch);
+        drop(self.sched);
+        drop(self.pods_to_streams);
+        drop(self.profiles);
         let reports = self
             .streams
             .iter()
@@ -2700,7 +2713,7 @@ impl World {
             breakdowns: self.breakdowns,
             device_stats: self.services.iter().map(|s| s.device.stats()).collect(),
             max_queue_depths: self.services.iter().map(|s| s.max_depth).collect(),
-            used_tpus: self.sched.pool().used_tpus(),
+            used_tpus,
             frames_dropped: self.frames_dropped,
             events_processed,
             end,

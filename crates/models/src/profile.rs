@@ -24,6 +24,8 @@
 //! ```
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -32,8 +34,26 @@ use microedge_sim::time::SimDuration;
 /// Identifies a model in the catalog and on TPUs.
 ///
 /// Cheap to clone and hashable; two ids are equal iff their names are.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct ModelId(Box<str>);
+/// Clones share one allocation, and equality tests the pointer before the
+/// names, so the data plane's comparisons against ids cloned from the same
+/// catalog entry are a pointer test; ids built separately fall back to
+/// comparing names. Hashing and ordering are by name.
+#[derive(Debug, Clone, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct ModelId(Arc<str>);
+
+// `Arc<str>`'s own equality always compares the bytes: std's pointer
+// shortcut needs a sized `T`.
+impl PartialEq for ModelId {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+    }
+}
+
+impl Hash for ModelId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
 
 impl ModelId {
     /// Creates an id from a model name.
@@ -251,5 +271,8 @@ mod tests {
         assert_eq!(ModelId::new("a"), ModelId::new("a"));
         assert_ne!(ModelId::new("a"), ModelId::new("b"));
         assert!(ModelId::new("a") < ModelId::new("b"));
+        let a = ModelId::new("a");
+        assert_eq!(a.clone(), a);
+        assert_eq!(a.clone(), ModelId::new("a"));
     }
 }

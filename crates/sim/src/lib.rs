@@ -15,6 +15,8 @@
 //!   [`stats::LogLinearSketch`] production telemetry runs on;
 //! - [`series`] — windowed aggregation, including exact time-weighted
 //!   averages of piecewise-constant signals (per-minute utilization);
+//! - [`inline`] — a list that stores its one-element case in place
+//!   ([`inline::Inline`]), for the data plane's usually-singleton lists;
 //! - [`par`] — a deterministic input-order-preserving parallel map used by
 //!   the bench sweeps and the sharded replay's epoch stepping.
 //!
@@ -55,6 +57,7 @@
 //! ```
 
 pub mod event;
+pub mod inline;
 pub mod par;
 pub mod rng;
 pub mod series;

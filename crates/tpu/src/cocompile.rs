@@ -27,6 +27,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use microedge_models::profile::{ModelId, ModelProfile};
+use microedge_sim::inline::Inline;
 use microedge_sim::time::SimDuration;
 
 use crate::spec::TpuSpec;
@@ -75,7 +76,9 @@ impl CacheAllocation {
 /// order.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CachePlan {
-    allocations: Vec<CacheAllocation>,
+    /// Inline when one model is resident, the common case: the lookup on
+    /// every invoke then reads no second heap allocation.
+    allocations: Inline<CacheAllocation>,
 }
 
 impl CachePlan {

@@ -101,3 +101,74 @@ proptest! {
         }
     }
 }
+
+/// Smooth WRR over a plain `Vec`, written out independently of
+/// `LbService`: the reference the differential test compares against.
+struct ReferenceWrr {
+    /// `(tpu, weight, current)` in scheduler order.
+    targets: Vec<(u32, i64, i64)>,
+}
+
+impl ReferenceWrr {
+    fn new(weights: &[u64]) -> Self {
+        let targets = weights
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| (i as u32, i64::try_from(w).unwrap(), 0))
+            .collect();
+        ReferenceWrr { targets }
+    }
+
+    fn pick(&mut self) -> u32 {
+        let total: i64 = self.targets.iter().map(|t| t.1).sum();
+        for t in &mut self.targets {
+            t.2 += t.1;
+        }
+        // Highest `current` wins; among ties the last one, as
+        // `Iterator::max_by_key` breaks them.
+        let mut best = 0;
+        for (i, t) in self.targets.iter().enumerate() {
+            if t.2 >= self.targets[best].2 {
+                best = i;
+            }
+        }
+        self.targets[best].2 -= total;
+        self.targets[best].0
+    }
+
+    fn remove(&mut self, tpu: u32) {
+        self.targets.retain(|t| t.0 != tpu);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Differential: with 1–6 targets and any sequence of removals down to
+    /// one target, the LBS picks exactly what the plain-`Vec` reference
+    /// picks, before and after every removal. This covers the inline
+    /// one-target representation the removals end in.
+    #[test]
+    fn picks_match_plain_vec_reference(
+        weights in prop::collection::vec(1_000u64..=1_000_000, 1..=6),
+        removals in prop::collection::vec((0usize..6, 0usize..40), 0..6),
+        tail in 1usize..40,
+    ) {
+        let mut lbs = lbs_from(&weights);
+        let mut reference = ReferenceWrr::new(&weights);
+        for (victim, picks) in removals {
+            for _ in 0..picks {
+                prop_assert_eq!(lbs.next().0, reference.pick());
+            }
+            if reference.targets.len() > 1 {
+                let tpu = reference.targets[victim % reference.targets.len()].0;
+                prop_assert!(lbs.remove_target(TpuId(tpu)));
+                reference.remove(tpu);
+                prop_assert_eq!(lbs.target_count(), reference.targets.len());
+            }
+        }
+        for _ in 0..tail {
+            prop_assert_eq!(lbs.next().0, reference.pick());
+        }
+    }
+}

@@ -1,6 +1,10 @@
 //! Property-based tests for the Coral TPU device model: the co-compiler's
 //! packing invariants and the execution engine's cost accounting.
 
+use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
 use proptest::prelude::*;
 
 use microedge::models::profile::{ModelId, ModelKind, ModelProfile};
@@ -126,6 +130,68 @@ proptest! {
         }
         prop_assert_eq!(device.stats().swaps(), 0);
     }
+
+    /// Invokes with ids built separately from the plan's (no shared
+    /// allocation, so equality falls back to comparing names) cost exactly
+    /// what invokes with the plan's own profiles cost, swaps included.
+    #[test]
+    fn separately_built_ids_invoke_identically(
+        models in model_set(),
+        extra in prop::collection::vec((1_000u64..100_000, 1_000u64..9_000_000), 0..3),
+        picks in prop::collection::vec(0usize..11, 1..40),
+    ) {
+        let spec = TpuSpec::coral_usb();
+        let build = |set: &[(u64, u64)], offset: usize| -> Vec<ModelProfile> {
+            set.iter()
+                .enumerate()
+                .map(|(i, &(inf, bytes))| synthetic_model(offset + i, inf, bytes))
+                .collect()
+        };
+        let resident = build(&models, 0);
+        // Same names and costs, fresh id allocations; the extra models are
+        // not in the plan and force swaps.
+        let mut rebuilt = build(&models, 0);
+        rebuilt.extend(build(&extra, models.len()));
+        let mut shared = resident.clone();
+        shared.extend(build(&extra, models.len()));
+
+        let plan = CoCompiler::new(spec).plan(&resident).unwrap();
+        let mut by_clone = TpuDevice::new(spec);
+        let mut by_rebuild = TpuDevice::new(spec);
+        by_clone.load_plan(plan.clone());
+        by_rebuild.load_plan(plan);
+        for &p in &picks {
+            let i = p % shared.len();
+            prop_assert_eq!(by_rebuild.invoke(&rebuilt[i]), by_clone.invoke(&shared[i]));
+        }
+        prop_assert_eq!(by_rebuild.stats(), by_clone.stats());
+        prop_assert_eq!(by_rebuild.resident(), by_clone.resident());
+    }
+
+    /// Ids built separately and cloned ids agree on `==`, `Hash` and
+    /// `Ord`, all of which follow the name.
+    #[test]
+    fn model_id_clones_and_rebuilds_agree(a in "[a-c]{1,3}", b in "[a-c]{1,3}") {
+        let id = ModelId::new(&a);
+        let clone = id.clone();
+        let rebuilt = ModelId::new(&a);
+        let other = ModelId::new(&b);
+        prop_assert_eq!(&clone, &id);
+        prop_assert_eq!(&rebuilt, &id);
+        prop_assert_eq!(hash_of(&clone), hash_of(&id));
+        prop_assert_eq!(hash_of(&rebuilt), hash_of(&id));
+        prop_assert_eq!(clone.cmp(&id), Ordering::Equal);
+        prop_assert_eq!(rebuilt.cmp(&id), Ordering::Equal);
+        prop_assert_eq!(other == id, a == b);
+        prop_assert_eq!(other.cmp(&id), b.cmp(&a));
+        prop_assert_eq!(hash_of(&other) == hash_of(&id), hash_of(&b) == hash_of(&a));
+    }
+}
+
+fn hash_of<T: Hash + ?Sized>(x: &T) -> u64 {
+    let mut h = DefaultHasher::new();
+    x.hash(&mut h);
+    h.finish()
 }
 
 /// Deterministic edge case: duplicate ids are rejected with the offending
