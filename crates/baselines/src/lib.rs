@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # microedge-baselines — the comparators from the paper's evaluation

@@ -31,6 +31,11 @@
 //! ([`crate::scalability::render_admission_scalability`]) and serializes
 //! as `BENCH_admission.json`.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "times the simulator itself; lands on host_ lines"
+)]
+
 use std::fmt::Write as _;
 use std::time::Instant;
 

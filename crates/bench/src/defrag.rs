@@ -21,6 +21,11 @@
 //! trace, so CI strips `host_` lines and byte-compares the artifact
 //! across `MICROEDGE_WORKERS` settings.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "times the simulator itself; lands on host_ lines"
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::time::Instant;

@@ -29,6 +29,11 @@
 //!    window plus the evacuation/readmission counters — all derived from
 //!    simulated time, so byte-identical at any worker count.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "times the simulator itself; lands on host_ lines"
+)]
+
 use std::fmt::Write as _;
 use std::time::Instant;
 

@@ -24,6 +24,11 @@
 //! is byte-identical across hosts, runs, and `MICROEDGE_WORKERS` settings
 //! once `host_` lines are stripped.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "times the simulator itself; lands on host_ lines"
+)]
+
 use std::fmt::Write as _;
 use std::time::Instant;
 

@@ -16,6 +16,11 @@
 //! wall-clock, which is the honest like-for-like throughput comparison —
 //! the work done (same trace, same decisions, same outputs) is unchanged.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "times the simulator itself; lands on host_ lines"
+)]
+
 use std::fmt::Write as _;
 use std::time::Instant;
 

@@ -26,6 +26,11 @@
 //! smallest point with twice the frame limit and reporting both byte
 //! counts (`telemetry_invariance` in the JSON — they must be equal).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "times the simulator itself; lands on host_ lines"
+)]
+
 use std::fmt::Write as _;
 use std::time::Instant;
 

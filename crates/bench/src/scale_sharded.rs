@@ -16,6 +16,11 @@
 //! before byte-comparing `BENCH_scale.json` across `MICROEDGE_WORKERS`
 //! settings.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "times the simulator itself; lands on host_ lines"
+)]
+
 use std::fmt::Write as _;
 use std::time::Instant;
 

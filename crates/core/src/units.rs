@@ -60,6 +60,11 @@ impl TpuUnits {
     ///
     /// Panics if `units` is negative or not finite.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the argument is asserted finite and non-negative first; `as` saturates at u64::MAX"
+    )]
     pub fn from_f64(units: f64) -> Self {
         assert!(
             units.is_finite() && units >= 0.0,

@@ -1,66 +1,46 @@
-//! The ratchet baselines: committed per-crate debt counts
-//! (`lint-baseline.toml`) for the two ratcheted measures —
-//! `[unwrap-ratchet]` (bare `unwrap()` / empty-message `expect()` in
-//! non-test code) and `[panic-path]` (panicking constructs reachable from
-//! the replay hot entry points).
+//! The ratchet baseline: committed per-crate `[panic-path]` debt counts
+//! (`lint-baseline.toml`) — panicking constructs reachable from the replay
+//! hot entry points.
 //!
-//! The gates fail only when a crate's count **grows** past its baseline, so
+//! The gate fails only when a crate's count **grows** past its baseline, so
 //! robustness debt can shrink freely but never accrete. After a burn-down,
 //! regenerate with `cargo run -p microedge-lint -- --update-baseline`.
 //!
-//! The file is a two-table TOML subset (`"key" = integer` lines under a
-//! `[section]` header) parsed here by hand — the lint is zero-dependency.
+//! The file is a one-table TOML subset (`"key" = integer` lines under a
+//! `[panic-path]` header) parsed here by hand — the lint is zero-dependency.
 
 use std::collections::BTreeMap;
 
-use crate::config::{PANIC_PATH_RATCHET, UNWRAP_RATCHET};
+use crate::config::PANIC_PATH_RATCHET;
 use crate::rules::Diagnostic;
 
 /// Name of the committed baseline file at the workspace root.
 pub const BASELINE_FILE: &str = "lint-baseline.toml";
 
-/// The two committed ratchet tables.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct Baseline {
-    /// `[unwrap-ratchet]` per-crate counts.
-    pub unwrap: BTreeMap<String, usize>,
-    /// `[panic-path]` per-crate counts.
-    pub panic_path: BTreeMap<String, usize>,
-}
-
-/// Parse the baseline file contents.
+/// Parse the baseline file contents into per-crate `[panic-path]` counts.
 ///
 /// Returns `Err` with a description on any line that is not a comment,
-/// blank, a known section header, or a `"crate" = count` entry. A missing
-/// `[panic-path]` section is an error: the gate must never silently pass
-/// because half the ratchet got lost.
-pub fn parse(text: &str) -> Result<Baseline, String> {
-    let mut base = Baseline::default();
-    let mut section: Option<&str> = None;
-    let mut saw_unwrap = false;
-    let mut saw_panic = false;
+/// blank, the `[panic-path]` header, or a `"crate" = count` entry. A
+/// missing `[panic-path]` section is an error: the gate must never
+/// silently pass because the ratchet got lost.
+pub fn parse(text: &str) -> Result<BTreeMap<String, usize>, String> {
+    let mut base = BTreeMap::new();
+    let mut in_section = false;
     for (ln, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         if line.starts_with('[') {
-            section = match line {
-                "[unwrap-ratchet]" => {
-                    saw_unwrap = true;
-                    Some("unwrap")
-                }
-                "[panic-path]" => {
-                    saw_panic = true;
-                    Some("panic")
-                }
-                other => return Err(format!("line {}: unknown section {other}", ln + 1)),
-            };
+            if line != "[panic-path]" {
+                return Err(format!("line {}: unknown section {line}", ln + 1));
+            }
+            in_section = true;
             continue;
         }
-        let Some(section) = section else {
+        if !in_section {
             return Err(format!("line {}: entry outside any section", ln + 1));
-        };
+        }
         let Some((key, value)) = line.split_once('=') else {
             return Err(format!("line {}: expected `\"crate\" = count`", ln + 1));
         };
@@ -69,37 +49,23 @@ pub fn parse(text: &str) -> Result<Baseline, String> {
             .trim()
             .parse()
             .map_err(|_| format!("line {}: count is not an integer", ln + 1))?;
-        match section {
-            "unwrap" => base.unwrap.insert(key, value),
-            _ => base.panic_path.insert(key, value),
-        };
+        base.insert(key, value);
     }
-    if !saw_unwrap {
-        return Err("missing [unwrap-ratchet] section".to_string());
-    }
-    if !saw_panic {
+    if !in_section {
         return Err("missing [panic-path] section".to_string());
     }
     Ok(base)
 }
 
 /// Render per-crate counts back into the canonical committed form.
-pub fn format(unwrap: &BTreeMap<String, usize>, panic_path: &BTreeMap<String, usize>) -> String {
+pub fn format(panic_path: &BTreeMap<String, usize>) -> String {
     let mut out = String::from(
-        "# Ratcheted per-crate debt baselines. microedge-lint fails a crate whose\n\
+        "# Ratcheted per-crate debt baseline. microedge-lint fails a crate whose\n\
          # count GROWS past its baseline; shrinking is always allowed (and welcome).\n\
          # After a genuine burn-down, regenerate:\n\
          #\n\
          #     cargo run -p microedge-lint -- --update-baseline\n\
          \n\
-         # Bare `unwrap()` / empty-message `expect()` in non-test code.\n\
-         [unwrap-ratchet]\n",
-    );
-    for (k, v) in unwrap {
-        out.push_str(&format!("\"{k}\" = {v}\n"));
-    }
-    out.push_str(
-        "\n\
          # Panicking constructs (indexing/slicing, unwrap-family, explicit panic!)\n\
          # reachable from the hot entry points: World::run_until/dispatch, the\n\
          # ShardedWorld epoch loop, and FrontDoor::place.\n\
@@ -114,29 +80,12 @@ pub fn format(unwrap: &BTreeMap<String, usize>, panic_path: &BTreeMap<String, us
 /// Compare measured counts against the baseline; one diagnostic per crate
 /// whose debt grew. Crates absent from the baseline ratchet against zero.
 pub fn check(
-    measured_unwrap: &BTreeMap<String, usize>,
-    measured_panic: &BTreeMap<String, usize>,
-    base: &Baseline,
+    measured: &BTreeMap<String, usize>,
+    base: &BTreeMap<String, usize>,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    for (krate, &count) in measured_unwrap {
-        let allowed = base.unwrap.get(krate).copied().unwrap_or(0);
-        if count > allowed {
-            diags.push(Diagnostic {
-                rule: UNWRAP_RATCHET,
-                path: BASELINE_FILE.to_string(),
-                line: 1,
-                col: 1,
-                message: format!(
-                    "crate {krate} has {count} bare unwrap()/empty expect() in non-test code, \
-                     baseline {allowed}; convert them to expect(\"<invariant>\") or a typed \
-                     error (or, after a genuine burn-down, regenerate with --update-baseline)"
-                ),
-            });
-        }
-    }
-    for (krate, &count) in measured_panic {
-        let allowed = base.panic_path.get(krate).copied().unwrap_or(0);
+    for (krate, &count) in measured {
+        let allowed = base.get(krate).copied().unwrap_or(0);
         if count > allowed {
             diags.push(Diagnostic {
                 rule: PANIC_PATH_RATCHET,

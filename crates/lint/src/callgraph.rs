@@ -260,7 +260,7 @@ fn push_source(out: &mut Vec<TaintSource>, t: &Token, kind: &'static str, what: 
 
 /// True for numeric literal text with float syntax (`1.5`, `1e9`, `2.0f64`)
 /// as opposed to integer syntax (`42`, `0xff`, `1_000u64`).
-pub fn is_float_literal(text: &str) -> bool {
+fn is_float_literal(text: &str) -> bool {
     let lower = text.to_ascii_lowercase();
     if lower.starts_with("0x") || lower.starts_with("0o") || lower.starts_with("0b") {
         return false;

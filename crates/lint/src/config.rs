@@ -6,42 +6,28 @@
 
 /// Rule identifiers, exactly as they appear in diagnostics and in
 /// `lint:allow(<rule-id>)` escape hatches.
-pub const NO_WALL_CLOCK: &str = "no-wall-clock";
-/// See [`NO_WALL_CLOCK`].
-pub const NO_AMBIENT_RNG: &str = "no-ambient-rng";
-/// See [`NO_WALL_CLOCK`].
-pub const NO_UNORDERED_COLLECTIONS: &str = "no-unordered-collections";
-/// See [`NO_WALL_CLOCK`].
 pub const NO_PARTIAL_FLOAT_CMP: &str = "no-partial-float-cmp";
-/// See [`NO_WALL_CLOCK`].
-pub const NO_UNSAFE: &str = "no-unsafe";
-/// See [`NO_WALL_CLOCK`].
-pub const UNWRAP_RATCHET: &str = "unwrap-ratchet";
-/// See [`NO_WALL_CLOCK`].
+/// See [`NO_PARTIAL_FLOAT_CMP`].
+pub const EMPTY_EXPECT: &str = "empty-expect";
+/// See [`NO_PARTIAL_FLOAT_CMP`].
 pub const TAINT_ARTIFACT_PATH: &str = "taint-artifact-path";
-/// See [`NO_WALL_CLOCK`].
-pub const NO_NARROWING_AS_CAST: &str = "no-narrowing-as-cast";
-/// See [`NO_WALL_CLOCK`].
+/// See [`NO_PARTIAL_FLOAT_CMP`].
 pub const PANIC_PATH_RATCHET: &str = "panic-path-ratchet";
+/// See [`NO_PARTIAL_FLOAT_CMP`].
+pub const WORKSPACE_LINTS: &str = "workspace-lints";
 /// Diagnostic id for malformed `lint:allow` directives themselves.
 pub const BAD_ALLOW: &str = "bad-allow";
 
 /// Every rule id that may legally appear in a `lint:allow(...)` directive.
-pub const ALLOWABLE_RULES: &[&str] = &[
-    NO_WALL_CLOCK,
-    NO_AMBIENT_RNG,
-    NO_UNORDERED_COLLECTIONS,
-    NO_PARTIAL_FLOAT_CMP,
-    NO_UNSAFE,
-    TAINT_ARTIFACT_PATH,
-    NO_NARROWING_AS_CAST,
-];
+pub const ALLOWABLE_RULES: &[&str] = &[NO_PARTIAL_FLOAT_CMP, TAINT_ARTIFACT_PATH];
 
 /// The measurement modules of the bench crate and of the `perfbench`
-/// benchmark: the only places allowed to read the host wall clock, because
-/// they time the *simulator itself* (replay wall time, admission
-/// throughput, per-layer ns/op, span self time). Everything else must take
-/// time from the `EventQueue`.
+/// benchmark, which time the *simulator itself* (replay wall time,
+/// admission throughput, per-layer ns/op, span self time). The wall-clock
+/// ban itself is clippy's (`disallowed-methods` in `clippy.toml`, waived
+/// by an `expect` at the top of each bench module); this list now feeds
+/// only taint's wall-clock source filter, because these timings land on
+/// `host_` artifact lines that the determinism gate strips.
 pub const WALL_CLOCK_EXEMPT_FILES: &[&str] = &[
     "crates/bench/src/perf.rs",
     "crates/bench/src/admission_overhead.rs",
@@ -56,23 +42,6 @@ pub const WALL_CLOCK_EXEMPT_FILES: &[&str] = &[
     "perfbench/src/probes.rs",
     "perfbench/src/spans.rs",
 ];
-
-/// Crates whose data structures feed byte-identical JSON artifacts: any
-/// `HashMap`/`HashSet` iteration order here could silently reorder output.
-pub const ORDERED_COLLECTIONS_CRATES: &[&str] = &[
-    "crates/sim",
-    "crates/core",
-    "crates/orch",
-    "crates/metrics",
-    "crates/tpu",
-    "crates/cluster",
-];
-
-/// Crates where every lossy integer `as` cast must be a checked
-/// `try_into().expect("<invariant>")` or a widening: these hold the
-/// conservation ledgers, unit types, and artifact math where a silent
-/// truncation corrupts results instead of crashing.
-pub const NARROWING_CAST_CRATES: &[&str] = &["crates/core", "crates/sim", "crates/metrics"];
 
 /// Sink *function names* for the `taint-artifact-path` analysis: calling
 /// one of these from a nondeterminism-tainted function is a finding. They
@@ -124,30 +93,10 @@ pub const SKIP_DIRS: &[&str] = &[".git", "target", "vendor"];
 /// not count as workspace findings.
 pub const FIXTURE_DIR: &str = "crates/lint/tests/fixtures";
 
-/// True if `rule` applies to the workspace-relative path `rel`.
-pub fn rule_enabled(rule: &str, rel: &str) -> bool {
-    match rule {
-        NO_WALL_CLOCK => !WALL_CLOCK_EXEMPT_FILES.contains(&rel),
-        NO_UNORDERED_COLLECTIONS => ORDERED_COLLECTIONS_CRATES
-            .iter()
-            .any(|c| rel.strip_prefix(c).is_some_and(|r| r.starts_with('/'))),
-        // The ratchet measures production robustness debt: integration-test
-        // trees are excluded here, `#[cfg(test)]` modules by the scanner.
-        UNWRAP_RATCHET => !rel.starts_with("tests/") && !rel.contains("/tests/"),
-        NO_NARROWING_AS_CAST => {
-            !rel.starts_with("tests/")
-                && !rel.contains("/tests/")
-                && NARROWING_CAST_CRATES
-                    .iter()
-                    .any(|c| rel.strip_prefix(c).is_some_and(|r| r.starts_with('/')))
-        }
-        // Taint runs per-crate over production code only; test trees never
-        // feed artifacts.
-        TAINT_ARTIFACT_PATH | PANIC_PATH_RATCHET => {
-            !rel.starts_with("tests/") && !rel.contains("/tests/")
-        }
-        _ => true,
-    }
+/// True for integration-test trees (`tests/` at any depth). They never
+/// feed artifacts, so only `no-partial-float-cmp` looks at them.
+pub fn is_test_tree(rel: &str) -> bool {
+    rel.starts_with("tests/") || rel.contains("/tests/")
 }
 
 /// True when `name` is a taint sink (exact name or configured prefix).

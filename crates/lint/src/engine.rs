@@ -1,9 +1,10 @@
 //! Workspace walking and the top-level lint entry points.
 //!
-//! Linting runs in two phases: a per-file pass (token-sequence rules,
-//! unwrap counting, fact extraction) followed by per-crate flow analyses
-//! over the assembled call graphs (`taint-artifact-path` and the
-//! `panic-path-ratchet` debt measure).
+//! Linting runs in two phases: a per-file pass (token-sequence rules and
+//! fact extraction) followed by per-crate flow analyses over the assembled
+//! call graphs (`taint-artifact-path` and the `panic-path-ratchet` debt
+//! measure). Alongside, every first-party manifest must opt into the
+//! workspace's compiler lints (`workspace-lints`).
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -21,11 +22,10 @@ use crate::taint;
 pub struct Report {
     /// All rule and `bad-allow` diagnostics, sorted by `(path, line, col)`.
     pub diags: Vec<Diagnostic>,
-    /// Measured unwrap-ratchet counts per cargo package (crates with zero
-    /// debt included, so the baseline lists every package explicitly).
-    pub ratchet: BTreeMap<String, usize>,
     /// Measured panic-path debt per cargo package: panicking constructs
-    /// reachable from the hot entry points in that crate's call graph.
+    /// reachable from the hot entry points in that crate's call graph
+    /// (crates with zero debt included, so the baseline lists every
+    /// package explicitly).
     pub panic_ratchet: BTreeMap<String, usize>,
     /// Per-function panic-path breakdown, heaviest first:
     /// `(qualified name, file, line, count)`.
@@ -75,10 +75,23 @@ fn rel_path(root: &Path, path: &Path) -> String {
 /// ratchet baseline — see [`lint_workspace_with_baseline`].
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut report = Report::default();
-    // Seed every package so a debt-free crate still appears (as 0) in the
-    // regenerated baseline, keeping the committed file exhaustive.
-    for krate in packages(root)? {
-        report.ratchet.insert(krate.clone(), 0);
+    // Check every package's lints opt-in, and seed it so a debt-free crate
+    // still appears (as 0) in the regenerated baseline, keeping the
+    // committed file exhaustive.
+    for (krate, manifest) in packages(root)? {
+        if !opts_into_workspace_lints(&root.join(&manifest)) {
+            report.diags.push(Diagnostic {
+                rule: config::WORKSPACE_LINTS,
+                path: manifest,
+                line: 1,
+                col: 1,
+                message: format!(
+                    "package {krate} does not opt into the workspace lints; add \
+                     `[lints]` / `workspace = true` so `unsafe_code = \"forbid\"` and \
+                     `clippy::unwrap_used = \"deny\"` apply to it"
+                ),
+            });
+        }
         report.panic_ratchet.insert(krate, 0);
     }
 
@@ -89,9 +102,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         let rel = rel_path(root, &path);
         let src = fs::read_to_string(&path)?;
         let analysis = analyze_file(&rel, &src);
-        report.diags.extend(analysis.findings.diags);
-        *report.ratchet.entry(crate_of(&rel)).or_insert(0) += analysis.findings.unwrap_count;
-        if config::rule_enabled(config::TAINT_ARTIFACT_PATH, &rel) {
+        report.diags.extend(analysis.diags);
+        if !config::is_test_tree(&rel) {
             let mut fns: Vec<FnDef> = analysis.fns.into_iter().filter(|f| !f.is_test).collect();
             // The bench measurement modules are sanctioned wall-clock
             // readers (see WALL_CLOCK_EXEMPT_FILES): their host timings
@@ -145,11 +157,9 @@ pub fn lint_workspace_with_baseline(root: &Path) -> io::Result<Report> {
     let baseline_path = root.join(baseline::BASELINE_FILE);
     match fs::read_to_string(&baseline_path) {
         Ok(text) => match baseline::parse(&text) {
-            Ok(base) => report.diags.extend(baseline::check(
-                &report.ratchet,
-                &report.panic_ratchet,
-                &base,
-            )),
+            Ok(base) => report
+                .diags
+                .extend(baseline::check(&report.panic_ratchet, &base)),
             Err(e) => report.diags.push(baseline_error(format!(
                 "{} is malformed ({e}); fix it or regenerate with --update-baseline",
                 baseline::BASELINE_FILE
@@ -163,36 +173,9 @@ pub fn lint_workspace_with_baseline(root: &Path) -> io::Result<Report> {
     Ok(report)
 }
 
-/// Report-only sweep of the integration-test trees (`tests/` directories)
-/// that the hard rules skip: runs the unwrap counter and the narrowing
-/// scan over them with test masking off, purely informational. Returns
-/// `(diagnostics, unwrap-count)` — findings here never gate.
-pub fn lint_test_trees(root: &Path) -> io::Result<(Vec<Diagnostic>, usize)> {
-    use crate::tokenizer::{tokenize, TokKind, Token};
-
-    let mut diags = Vec::new();
-    let mut unwraps = 0usize;
-    for path in workspace_files(root)? {
-        let rel = rel_path(root, &path);
-        if !(rel.starts_with("tests/") || rel.contains("/tests/")) {
-            continue;
-        }
-        let src = fs::read_to_string(&path)?;
-        let toks = tokenize(&src);
-        let sig: Vec<&Token> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
-        // In a test tree everything is "test code"; report with the mask
-        // off so the sweep actually sees the files it exists to cover.
-        let no_mask = vec![false; sig.len()];
-        crate::rules::narrowing_casts_for_report(&rel, &sig, &no_mask, &mut diags);
-        unwraps += crate::rules::unwraps_for_report(&sig, &no_mask);
-    }
-    diags.sort_by(|a, b| (&a.path, a.line, a.col).cmp(&(&b.path, b.line, b.col)));
-    Ok((diags, unwraps))
-}
-
 fn baseline_error(message: String) -> Diagnostic {
     Diagnostic {
-        rule: config::UNWRAP_RATCHET,
+        rule: config::PANIC_PATH_RATCHET,
         path: baseline::BASELINE_FILE.to_string(),
         line: 1,
         col: 1,
@@ -200,10 +183,11 @@ fn baseline_error(message: String) -> Diagnostic {
     }
 }
 
-/// The cargo packages the ratchet tracks: the root package plus every
-/// `crates/*` member, by baseline key name.
-fn packages(root: &Path) -> io::Result<Vec<String>> {
-    let mut out = vec!["microedge".to_string()];
+/// The first-party cargo packages: the root package plus every
+/// `crates/*` member, as `(baseline key name, workspace-relative
+/// manifest path)`. The benchmark workspace `perfbench/` is not a member.
+fn packages(root: &Path) -> io::Result<Vec<(String, String)>> {
+    let mut out = vec![("microedge".to_string(), "Cargo.toml".to_string())];
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         let mut names: Vec<_> = fs::read_dir(&crates_dir)?
@@ -213,9 +197,30 @@ fn packages(root: &Path) -> io::Result<Vec<String>> {
             .map(|e| e.file_name().to_string_lossy().into_owned())
             .collect();
         names.sort();
-        out.extend(names.into_iter().map(|n| format!("microedge-{n}")));
+        out.extend(
+            names
+                .into_iter()
+                .map(|n| (format!("microedge-{n}"), format!("crates/{n}/Cargo.toml"))),
+        );
     }
     Ok(out)
+}
+
+/// True when the manifest has a `[lints]` table containing
+/// `workspace = true`. An unreadable manifest does not opt in.
+fn opts_into_workspace_lints(manifest: &Path) -> bool {
+    let Ok(text) = fs::read_to_string(manifest) else {
+        return false;
+    };
+    let mut in_lints = false;
+    for line in text.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
+    }
+    false
 }
 
 /// Locate the workspace root: the nearest ancestor of `start` containing

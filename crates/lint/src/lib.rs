@@ -1,20 +1,24 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # microedge-lint — determinism/robustness static analysis for this workspace
 //!
 //! Every evaluation artifact in this repo (`BENCH_*.json`, the Fig. 5/6/7
-//! replays) is gated on *byte-identical determinism*. That property has been
-//! broken before by innocent-looking code — a `partial_cmp(..).expect(..)`
-//! NaN panic in the Histogram, and it is one `Instant::now()` or `HashMap`
-//! iteration away from breaking again. This crate turns the conventions that
-//! protect it into machine-checked rules that run in `scripts/check.sh` and
-//! CI (see `LINTS.md` at the workspace root for the full contract).
+//! replays) is gated on *byte-identical determinism*. The bans that
+//! rustc and clippy can check with type information — wall clock and
+//! hash-ordered collections (`clippy.toml`), `unsafe` and bare `unwrap()`
+//! (`[workspace.lints]`), lossy `as` casts (crate-root `deny`s in `sim`,
+//! `core` and `metrics`) — live in that configuration (see `LINTS.md` at
+//! the workspace root). This crate keeps only what needs its own call
+//! graph or has no clippy equivalent: interprocedural
+//! `taint-artifact-path`, the `panic-path-ratchet`, `no-partial-float-cmp`,
+//! `empty-expect`, and the `workspace-lints` manifest guard.
 //!
 //! The engine is **zero-dependency** by design: a small comment/string/
-//! char-literal-aware Rust tokenizer ([`tokenizer`]) feeds token-sequence
-//! rule passes ([`rules`]) over every workspace `.rs` file ([`engine`]),
-//! with a committed, ratcheted debt baseline ([`baseline`]).
+//! char-literal-aware Rust tokenizer ([`tokenizer`]) feeds an item-tree
+//! parser ([`parser`]), the per-file rule passes ([`rules`]) and an
+//! intra-crate call graph ([`callgraph`]) for the flow analyses
+//! ([`taint`]), over every workspace `.rs` file ([`engine`]), with a
+//! committed, ratcheted debt baseline ([`baseline`]).
 //!
 //! Diagnostics are machine-readable, one per line:
 //!
@@ -22,11 +26,12 @@
 //! rule-id: file:line:col message
 //! ```
 //!
-//! Any site can be exempted with an inline escape hatch on the same line or
-//! the line above — the reason is mandatory:
+//! A `no-partial-float-cmp` or `taint-artifact-path` site can be exempted
+//! with an inline escape hatch on the same line or the line above — the
+//! reason is mandatory:
 //!
 //! ```text
-//! // lint:allow(no-wall-clock): times the solver itself, not simulated work
+//! // lint:allow(taint-artifact-path): host-measurement channel, stripped by the determinism gate
 //! ```
 
 pub mod baseline;
@@ -39,4 +44,4 @@ pub mod taint;
 pub mod tokenizer;
 
 pub use engine::{find_root, lint_workspace, lint_workspace_with_baseline, Report};
-pub use rules::{analyze_file, scan_file, Diagnostic, FileAnalysis, FileFindings};
+pub use rules::{analyze_file, Diagnostic, FileAnalysis};

@@ -1,9 +1,6 @@
-#![forbid(unsafe_code)]
-
-//! `microedge-lint` binary: lint the workspace, regenerate the ratchet
-//! baselines with `--update-baseline`, or sweep the integration-test trees
-//! report-only with `--tests-report`. Exit 0 when clean, 1 on findings,
-//! 2 on usage/IO errors.
+//! `microedge-lint` binary: lint the workspace, or regenerate the
+//! panic-path baseline with `--update-baseline`. Exit 0 when clean, 1 on
+//! findings, 2 on usage/IO errors.
 
 use std::env;
 use std::fs;
@@ -25,14 +22,12 @@ enum Format {
 
 fn main() -> ExitCode {
     let mut update_baseline = false;
-    let mut tests_report = false;
     let mut format = Format::Text;
     let mut root_arg: Option<PathBuf> = None;
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--update-baseline" => update_baseline = true,
-            "--tests-report" => tests_report = true,
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
                 Some("github") => format = Format::Github,
@@ -63,18 +58,15 @@ fn main() -> ExitCode {
             Err(e) => return fail(&format!("scan failed: {e}")),
         };
         let path = root.join(baseline::BASELINE_FILE);
-        let text = baseline::format(&report.ratchet, &report.panic_ratchet);
+        let text = baseline::format(&report.panic_ratchet);
         if let Err(e) = fs::write(&path, text) {
             return fail(&format!("cannot write {}: {e}", path.display()));
         }
-        let unwraps: usize = report.ratchet.values().sum();
         let panics: usize = report.panic_ratchet.values().sum();
         println!(
-            "microedge-lint: wrote {} ({} packages, {} bare unwrap/empty expect, \
-             {} hot-path panic constructs)",
+            "microedge-lint: wrote {} ({} packages, {} hot-path panic constructs)",
             path.display(),
-            report.ratchet.len(),
-            unwraps,
+            report.panic_ratchet.len(),
             panics
         );
         for (name, file, line, count) in report.panic_breakdown.iter().take(10) {
@@ -83,39 +75,18 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if tests_report {
-        // Report-only sweep of tests/ trees the hard rules skip: always
-        // exits 0 so it can run in CI without gating.
-        let (diags, unwraps) = match engine::lint_test_trees(&root) {
-            Ok(r) => r,
-            Err(e) => return fail(&format!("scan failed: {e}")),
-        };
-        for d in &diags {
-            emit(d, format, true);
-        }
-        println!(
-            "microedge-lint: tests-report (informational): {} narrowing-cast site(s), \
-             {} bare unwrap/empty expect in tests/ trees",
-            diags.len(),
-            unwraps
-        );
-        return ExitCode::SUCCESS;
-    }
-
     let report = match engine::lint_workspace_with_baseline(&root) {
         Ok(r) => r,
         Err(e) => return fail(&format!("scan failed: {e}")),
     };
     for d in &report.diags {
-        emit(d, format, false);
+        emit(d, format);
     }
     if report.diags.is_empty() {
-        let unwraps: usize = report.ratchet.values().sum();
         let panics: usize = report.panic_ratchet.values().sum();
         println!(
-            "microedge-lint: {} files clean; unwrap-ratchet at {} and panic-path at {} \
-             within baseline",
-            report.files_scanned, unwraps, panics
+            "microedge-lint: {} files clean; panic-path at {} within baseline",
+            report.files_scanned, panics
         );
         ExitCode::SUCCESS
     } else {
@@ -127,18 +98,17 @@ fn main() -> ExitCode {
 /// Print one diagnostic in the selected format. GitHub workflow commands
 /// must keep the message on one line; newlines become `%0A` per the
 /// Actions escaping rules.
-fn emit(d: &Diagnostic, format: Format, warning: bool) {
+fn emit(d: &Diagnostic, format: Format) {
     match format {
         Format::Text => println!("{d}"),
         Format::Github => {
-            let level = if warning { "warning" } else { "error" };
             let msg = d
                 .message
                 .replace('%', "%25")
                 .replace('\r', "%0D")
                 .replace('\n', "%0A");
             println!(
-                "::{level} file={},line={},col={},title={}::{msg}",
+                "::error file={},line={},col={},title={}::{msg}",
                 d.path, d.line, d.col, d.rule
             );
         }
@@ -152,10 +122,7 @@ USAGE:
     cargo run -p microedge-lint [-- OPTIONS]
 
 OPTIONS:
-    --update-baseline   Recount ratchet debt (unwrap + panic-path) and rewrite
-                        lint-baseline.toml
-    --tests-report      Report-only sweep of tests/ trees (narrowing casts,
-                        unwrap counts); always exits 0
+    --update-baseline   Recount panic-path debt and rewrite lint-baseline.toml
     --format <fmt>      Output format: text (default) or github (Actions
                         inline annotations)
     --root <path>       Workspace root (default: walk up from the current dir)

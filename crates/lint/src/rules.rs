@@ -1,15 +1,12 @@
-//! The rule passes: token-sequence matchers over one file's token stream,
-//! plus the `lint:allow` escape-hatch machinery. Test code is masked
-//! structurally via the item parser ([`crate::parser`]), which also feeds
-//! the per-function facts the crate-level flow analyses consume.
+//! The per-file rules (`no-partial-float-cmp`, `empty-expect`) plus the
+//! `lint:allow` escape-hatch machinery. Test code is masked structurally
+//! via the item parser ([`crate::parser`]), which also feeds the
+//! per-function facts the crate-level flow analyses consume.
 
 use std::fmt;
 
 use crate::callgraph::{self, FnDef};
-use crate::config::{
-    self, rule_enabled, BAD_ALLOW, NO_AMBIENT_RNG, NO_NARROWING_AS_CAST, NO_PARTIAL_FLOAT_CMP,
-    NO_UNORDERED_COLLECTIONS, NO_UNSAFE, NO_WALL_CLOCK, UNWRAP_RATCHET,
-};
+use crate::config::{self, is_test_tree, BAD_ALLOW, EMPTY_EXPECT, NO_PARTIAL_FLOAT_CMP};
 use crate::parser;
 use crate::tokenizer::{tokenize, TokKind, Token};
 
@@ -38,17 +35,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Everything a single-file scan produces.
-#[derive(Debug, Default)]
-pub struct FileFindings {
-    /// Rule violations (post-suppression) plus any `bad-allow` diagnostics.
-    pub diags: Vec<Diagnostic>,
-    /// Bare `unwrap()` / empty-message `expect()` count in non-test code,
-    /// fed into the per-crate ratchet. Zero when the ratchet is disabled
-    /// for this path.
-    pub unwrap_count: usize,
-}
-
 /// A parsed, well-formed `lint:allow(rule): reason` directive. The engine
 /// also consults these to suppress crate-level (taint) findings, which is
 /// why they are part of [`FileAnalysis`].
@@ -67,53 +53,35 @@ impl AllowDirective {
     }
 }
 
-/// Everything a single-file analysis produces: the token-sequence findings
-/// plus the per-function facts and allow directives the engine's
-/// crate-level flow phases (taint, panic-path) consume.
+/// Everything a single-file analysis produces: the per-file findings plus
+/// the per-function facts and allow directives the engine's crate-level
+/// flow phases (taint, panic-path) consume.
 #[derive(Debug, Default)]
 pub struct FileAnalysis {
-    /// Token-sequence findings and the unwrap-ratchet count.
-    pub findings: FileFindings,
+    /// Rule violations (post-suppression) plus any `bad-allow` diagnostics,
+    /// sorted by position.
+    pub diags: Vec<Diagnostic>,
     /// Per-function call/source/panic facts (empty for non-Rust inputs).
     pub fns: Vec<FnDef>,
     /// Well-formed `lint:allow` directives in the file.
     pub allows: Vec<AllowDirective>,
 }
 
-/// Scan one file for the token-sequence rules only. Compatibility wrapper
-/// over [`analyze_file`].
-pub fn scan_file(rel: &str, src: &str) -> FileFindings {
-    analyze_file(rel, src).findings
-}
-
 /// Analyze one file. `rel` must be the workspace-relative path (it drives
-/// per-crate rule scoping); `src` is the file contents.
+/// rule scoping); `src` is the file contents.
 pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
     let toks = tokenize(src);
     let sig: Vec<&Token> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
     let tree = parser::parse(&sig);
+    let file_is_test = is_test_tree(rel);
 
     let mut diags: Vec<Diagnostic> = Vec::new();
     let allows = parse_allows(rel, &toks, &mut diags);
 
     let mut raw: Vec<Diagnostic> = Vec::new();
-    if rule_enabled(NO_WALL_CLOCK, rel) {
-        rule_wall_clock(rel, &sig, &mut raw);
-    }
-    if rule_enabled(NO_AMBIENT_RNG, rel) {
-        rule_ambient_rng(rel, &sig, &mut raw);
-    }
-    if rule_enabled(NO_UNORDERED_COLLECTIONS, rel) {
-        rule_unordered_collections(rel, &sig, &mut raw);
-    }
-    if rule_enabled(NO_PARTIAL_FLOAT_CMP, rel) {
-        rule_partial_float_cmp(rel, &sig, &mut raw);
-    }
-    if rule_enabled(NO_UNSAFE, rel) {
-        rule_no_unsafe(rel, &sig, &mut raw);
-    }
-    if rule_enabled(NO_NARROWING_AS_CAST, rel) {
-        rule_narrowing_cast(rel, &sig, &tree.test_mask, &mut raw);
+    rule_partial_float_cmp(rel, &sig, &mut raw);
+    if !file_is_test {
+        rule_empty_expect(rel, &sig, &tree.test_mask, &mut raw);
     }
 
     // A valid allow on the finding's own line or the line above suppresses it.
@@ -123,24 +91,10 @@ pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
         }
     }
 
-    let unwrap_count = if rule_enabled(UNWRAP_RATCHET, rel) {
-        count_unwraps(&sig, &tree.test_mask)
-    } else {
-        0
-    };
-
-    let file_is_test = rel.starts_with("tests/") || rel.contains("/tests/");
     let fns = callgraph::extract_fns(rel, &sig, &tree, file_is_test);
 
     diags.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-    FileAnalysis {
-        findings: FileFindings {
-            diags,
-            unwrap_count,
-        },
-        fns,
-        allows,
-    }
+    FileAnalysis { diags, fns, allows }
 }
 
 /// Extract directives of the form `// lint:allow(<rule>): <reason>` from
@@ -200,71 +154,6 @@ fn diag(rule: &'static str, rel: &str, t: &Token, message: String) -> Diagnostic
         line: t.line,
         col: t.col,
         message,
-    }
-}
-
-/// `X :: now` for X in {Instant, SystemTime}.
-fn rule_wall_clock(rel: &str, sig: &[&Token], out: &mut Vec<Diagnostic>) {
-    for i in 0..sig.len() {
-        let name = &sig[i].text;
-        if sig[i].kind == TokKind::Ident
-            && (name == "Instant" || name == "SystemTime")
-            && matches(sig, i + 1, &[":", ":", "now"])
-        {
-            out.push(diag(
-                NO_WALL_CLOCK,
-                rel,
-                sig[i],
-                format!(
-                    "`{name}::now()` reads the host wall clock; simulation time must come from \
-                     the EventQueue (only bench measurement modules may time the simulator itself)"
-                ),
-            ));
-        }
-    }
-}
-
-/// `thread_rng`, `from_entropy`, `OsRng`, and `rand :: random`.
-fn rule_ambient_rng(rel: &str, sig: &[&Token], out: &mut Vec<Diagnostic>) {
-    for i in 0..sig.len() {
-        let t = sig[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let hit = match t.text.as_str() {
-            "thread_rng" | "from_entropy" | "OsRng" => Some(t.text.clone()),
-            "rand" if matches(sig, i + 1, &[":", ":", "random"]) => Some("rand::random".into()),
-            _ => None,
-        };
-        if let Some(what) = hit {
-            out.push(diag(
-                NO_AMBIENT_RNG,
-                rel,
-                t,
-                format!(
-                    "`{what}` draws ambient OS entropy; every replay must be seed-reproducible \
-                     — use a seeded DetRng threaded from the experiment config"
-                ),
-            ));
-        }
-    }
-}
-
-/// `HashMap` / `HashSet` in artifact-producing crates.
-fn rule_unordered_collections(rel: &str, sig: &[&Token], out: &mut Vec<Diagnostic>) {
-    for t in sig {
-        if t.kind == TokKind::Ident && (t.text == "HashMap" || t.text == "HashSet") {
-            out.push(diag(
-                NO_UNORDERED_COLLECTIONS,
-                rel,
-                t,
-                format!(
-                    "`{}` iteration order is nondeterministic and would silently break \
-                     byte-identical JSON artifacts; use BTreeMap/BTreeSet or an indexed Vec",
-                    t.text
-                ),
-            ));
-        }
     }
 }
 
@@ -330,256 +219,30 @@ fn rule_partial_float_cmp(rel: &str, sig: &[&Token], out: &mut Vec<Diagnostic>) 
     }
 }
 
-/// Any `unsafe` token. The workspace is `#![forbid(unsafe_code)]` end to
-/// end; this is defense-in-depth against the attribute being dropped.
-fn rule_no_unsafe(rel: &str, sig: &[&Token], out: &mut Vec<Diagnostic>) {
-    for t in sig {
-        if t.is_ident("unsafe") {
-            out.push(diag(
-                NO_UNSAFE,
-                rel,
-                t,
-                "`unsafe` is forbidden workspace-wide (crate roots carry \
-                 #![forbid(unsafe_code)]; this lint catches the attribute being removed)"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// Integer primitive type names a cast can target.
-const INT_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-];
-
-/// Methods whose return type makes the following cast provably non-lossy
-/// for the listed targets (on the 64-bit tiers this workspace supports).
-/// `len`/`capacity`/`count` return `usize`; the bit-counting family
-/// returns `u32`.
-const USIZE_RESULT_METHODS: &[&str] = &["len", "capacity", "count"];
-const U32_RESULT_METHODS: &[&str] = &[
-    "leading_zeros",
-    "trailing_zeros",
-    "count_ones",
-    "count_zeros",
-];
-
-/// Float→int rounding methods: `x.round() as u64` is the saturating
-/// float-to-int cast, a different class from integer truncation (and the
-/// only sanctioned way to leave float space in this workspace).
-const FLOAT_TO_INT_METHODS: &[&str] = &["round", "ceil", "floor", "trunc"];
-
-/// `no-narrowing-as-cast`: flag integer `as` casts that may silently
-/// truncate. Without type inference the rule is deliberately conservative:
-/// a cast is exempt only when the *source* is provably safe from tokens
-/// alone — a fitting integer literal, `bool`, a `usize`/`u32`-returning
-/// safe-listed method cast to a wide-enough target, a float rounding chain
-/// (saturating cast class), or a `u128`/`i128` target. Everything else
-/// must become `try_into().expect("<invariant>")`, a widening `from`, or
-/// carry a reasoned `lint:allow(no-narrowing-as-cast)`.
-fn rule_narrowing_cast(rel: &str, sig: &[&Token], mask: &[bool], out: &mut Vec<Diagnostic>) {
-    for i in 0..sig.len() {
-        if mask.get(i).copied().unwrap_or(false) || !sig[i].is_ident("as") {
-            continue;
-        }
-        let Some(target) = sig.get(i + 1) else {
-            continue;
-        };
-        if target.kind != TokKind::Ident || !INT_TYPES.contains(&target.text.as_str()) {
-            continue; // `use x as y`, `as f64`, `as &str`, `as dyn ...`
-        }
-        // `expr as u32 as u64` — classify the *first* cast; the second one
-        // re-examines with `u32` knowledge below.
-        if target.text == "u128" || target.text == "i128" {
-            continue; // widening from every integer type we use
-        }
-        if cast_source_is_safe(sig, i, &target.text) {
-            continue;
-        }
-        out.push(diag(
-            NO_NARROWING_AS_CAST,
-            rel,
-            sig[i],
-            format!(
-                "integer `as {}` cast may silently truncate; use \
-                 `try_into().expect(\"<invariant>\")`, a widening `::from`, or \
-                 `lint:allow(no-narrowing-as-cast): <reason>` for intentional bit truncation",
-                target.text
-            ),
-        ));
-    }
-}
-
-/// Token-level safety proof for the expression ending just before the `as`
-/// at `as_idx`. See [`rule_narrowing_cast`] for the exemption classes.
-fn cast_source_is_safe(sig: &[&Token], as_idx: usize, target: &str) -> bool {
-    if as_idx == 0 {
-        return false;
-    }
-    let last = sig[as_idx - 1];
-    // `( ... ) as T` or `x.method(..) as T`.
-    if last.is_punct(')') {
-        let Some(open) = matching_paren_backward(sig, as_idx - 1) else {
-            return false;
-        };
-        // Method/fn name directly before the `(`.
-        if open > 0 && sig[open - 1].kind == TokKind::Ident {
-            let m = sig[open - 1].text.as_str();
-            if FLOAT_TO_INT_METHODS.contains(&m) {
-                return true;
-            }
-            // A float-literal argument (`.max(1.0)`, `.min(0.0)`) proves the
-            // receiver chain is float-typed: the cast saturates, not truncates.
-            if sig[open..as_idx].iter().any(|t| is_float_marker(t)) {
-                return true;
-            }
-            if USIZE_RESULT_METHODS.contains(&m)
-                && open >= 2
-                && sig[open - 2].is_punct('.')
-                && matches!(target, "u64" | "i64" | "usize")
-            {
-                // usize -> u64 is a widening on the 64-bit hosts this
-                // workspace targets (checked by a const assert in core).
-                return true;
-            }
-            if U32_RESULT_METHODS.contains(&m)
-                && open >= 2
-                && sig[open - 2].is_punct('.')
-                && matches!(target, "u32" | "u64" | "i64" | "usize")
-            {
-                return true;
-            }
-            return false;
-        }
-        // Parenthesized group: a float expression cast via `as` saturates
-        // rather than truncates — different class, handled by float rules.
-        return sig[open..as_idx].iter().any(|t| is_float_marker(t));
-    }
-    if last.kind == TokKind::Num {
-        // `.0`/`.1` are tuple-field accesses of unknown type, not literals.
-        if as_idx >= 2 && sig[as_idx - 2].is_punct('.') {
-            return false;
-        }
-        return literal_fits(&last.text, target);
-    }
-    if last.kind == TokKind::Ident && (last.text == "true" || last.text == "false") {
-        return true;
-    }
-    false
-}
-
-/// `true` when the token can only appear in a float-typed expression.
-fn is_float_marker(t: &Token) -> bool {
-    (t.kind == TokKind::Num && callgraph::is_float_literal(&t.text))
-        || (t.kind == TokKind::Ident
-            && (t.text == "f64"
-                || t.text == "f32"
-                || FLOAT_TO_INT_METHODS.contains(&t.text.as_str())))
-}
-
-/// Index of the `(` matching the `)` at `close`.
-fn matching_paren_backward(sig: &[&Token], close: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for k in (0..=close).rev() {
-        if sig[k].is_punct(')') {
-            depth += 1;
-        } else if sig[k].is_punct('(') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
-/// True when integer-literal text `lit` is representable in `target`.
-fn literal_fits(lit: &str, target: &str) -> bool {
-    let lower = lit.to_ascii_lowercase().replace('_', "");
-    if callgraph::is_float_literal(lit) {
-        return true; // float literal cast saturates, not truncates
-    }
-    // Strip a type suffix (`42u64`, `7i32`, `0xffu8`).
-    let body = INT_TYPES
-        .iter()
-        .find_map(|s| lower.strip_suffix(s))
-        .unwrap_or(&lower);
-    let value = if let Some(hex) = body.strip_prefix("0x") {
-        u128::from_str_radix(hex, 16)
-    } else if let Some(oct) = body.strip_prefix("0o") {
-        u128::from_str_radix(oct, 8)
-    } else if let Some(bin) = body.strip_prefix("0b") {
-        u128::from_str_radix(bin, 2)
-    } else {
-        body.parse::<u128>()
-    };
-    let Ok(value) = value else { return false };
-    let max: u128 = match target {
-        "u8" => u8::MAX as u128,
-        "u16" => u16::MAX as u128,
-        "u32" => u32::MAX as u128,
-        "u64" | "usize" => u64::MAX as u128,
-        "i8" => i8::MAX as u128,
-        "i16" => i16::MAX as u128,
-        "i32" => i32::MAX as u128,
-        "i64" | "isize" => i64::MAX as u128,
-        _ => u128::MAX,
-    };
-    value <= max
-}
-
-/// Count `.unwrap()` and `.expect("")`/`.expect()` outside `#[cfg(test)]`
-/// items. `.expect("message")` with a non-empty message is the sanctioned
-/// form and does not count. `mask` is the parser's structural test mask.
-fn count_unwraps(sig: &[&Token], mask: &[bool]) -> usize {
-    let mut n = 0usize;
+/// `.expect("")`: a panic whose message names no invariant, in non-test
+/// code. Clippy denies bare `unwrap()` (`clippy::unwrap_used`) but has no
+/// lint for an empty `expect` message. Zero tolerance, no escape hatch.
+/// `mask` is the parser's structural test mask.
+fn rule_empty_expect(rel: &str, sig: &[&Token], mask: &[bool], out: &mut Vec<Diagnostic>) {
     for i in 0..sig.len() {
         if mask.get(i).copied().unwrap_or(false) || !sig[i].is_punct('.') {
             continue;
         }
-        let Some(name) = sig.get(i + 1) else { continue };
-        if name.is_ident("unwrap") && matches(sig, i + 2, &["(", ")"]) {
-            n += 1;
-        } else if name.is_ident("expect") && sig.get(i + 2).is_some_and(|t| t.is_punct('(')) {
-            let no_arg = sig.get(i + 3).is_some_and(|t| t.is_punct(')'));
-            let empty_msg = sig.get(i + 3).is_some_and(|t| t.is_empty_str())
-                && sig.get(i + 4).is_some_and(|t| t.is_punct(')'));
-            if no_arg || empty_msg {
-                n += 1;
-            }
+        let empty_expect = sig.get(i + 1).is_some_and(|t| t.is_ident("expect"))
+            && sig.get(i + 2).is_some_and(|t| t.is_punct('('))
+            && sig.get(i + 3).is_some_and(|t| t.is_empty_str())
+            && sig.get(i + 4).is_some_and(|t| t.is_punct(')'));
+        if empty_expect {
+            out.push(diag(
+                EMPTY_EXPECT,
+                rel,
+                sig[i + 1],
+                "`expect(\"\")` panics without naming the violated invariant; write \
+                 `expect(\"<invariant>\")` or return a typed error"
+                    .to_string(),
+            ));
         }
     }
-    n
-}
-
-/// Report-only entry points for the engine's tests-tree sweep: the same
-/// narrowing scan and unwrap counter, with a caller-supplied mask.
-pub fn narrowing_casts_for_report(
-    rel: &str,
-    sig: &[&Token],
-    mask: &[bool],
-    out: &mut Vec<Diagnostic>,
-) {
-    rule_narrowing_cast(rel, sig, mask, out);
-}
-
-/// See [`narrowing_casts_for_report`].
-pub fn unwraps_for_report(sig: &[&Token], mask: &[bool]) -> usize {
-    count_unwraps(sig, mask)
-}
-
-/// True if the idents/puncts at `sig[from..]` match `pat` (each pattern
-/// element is a 1-byte punct or an identifier).
-fn matches(sig: &[&Token], from: usize, pat: &[&str]) -> bool {
-    pat.iter().enumerate().all(|(k, p)| {
-        sig.get(from + k).is_some_and(|t| {
-            if p.len() == 1 && !p.as_bytes()[0].is_ascii_alphanumeric() {
-                t.is_punct(p.as_bytes()[0] as char)
-            } else {
-                t.is_ident(p)
-            }
-        })
-    })
 }
 
 /// Index of the `)` matching the `(` at `open`.

@@ -55,8 +55,7 @@ impl Token {
     }
 
     /// True if this is a string literal with empty contents (`""`, `r""`,
-    /// `b""`, `r#""#`, ...). Used by the unwrap-ratchet to treat
-    /// `.expect("")` like a bare `.unwrap()`.
+    /// `b""`, `r#""#`, ...). Used by the `empty-expect` rule.
     pub fn is_empty_str(&self) -> bool {
         if self.kind != TokKind::Str {
             return false;

@@ -1,6 +1,4 @@
-use std::time::Instant;
-
-pub fn t() -> Instant {
-    // lint:allow(no-wall-clock)
-    Instant::now()
+pub fn worst(xs: &mut [f64]) {
+    // lint:allow(no-partial-float-cmp)
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }

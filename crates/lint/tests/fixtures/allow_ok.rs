@@ -1,9 +1,5 @@
-use std::time::Instant;
-
-pub fn profile() -> Instant {
-    // lint:allow(no-wall-clock): measures the lint engine itself, not simulated work
-    let start = Instant::now();
-    let end = Instant::now(); // lint:allow(no-wall-clock): same measurement block
-    let _ = end;
-    start
+pub fn worst(xs: &mut [f64]) {
+    // lint:allow(no-partial-float-cmp): the caller checks every sample finite
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    xs.sort_by(|a, b| b.partial_cmp(a).unwrap()); // lint:allow(no-partial-float-cmp): same samples
 }

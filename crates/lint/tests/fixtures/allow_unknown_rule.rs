@@ -1,5 +1,6 @@
-pub fn h() {
+pub fn h(xs: &mut [f64]) {
     // lint:allow(no-such-rule): the rule id is misspelled, so nothing is suppressed
-    let x: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    let _ = x;
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    // lint:allow(no-wall-clock): a retired rule id; clippy.toml owns this ban now
+    let _ = xs.len();
 }

@@ -1,5 +1,5 @@
 //! Banned identifiers in non-code positions must never trip rules:
-//! Instant::now() HashMap thread_rng unsafe partial_cmp(x).unwrap()
+//! partial_cmp(x).unwrap() xs.sort_by(|a, b| a.partial_cmp(b)) y.expect("")
 
 /* block comment: SystemTime::now(), HashSet, rand::random::<u64>()
    /* nested: Instant::now() still inside the outer comment */

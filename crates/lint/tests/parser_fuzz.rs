@@ -74,7 +74,7 @@ fn assert_spans_in_bounds(src: &str) {
     }
     // The full analysis (all rules + fact extraction) must also hold.
     let analysis = rules::analyze_file("crates/core/src/fuzzed.rs", src);
-    for d in &analysis.findings.diags {
+    for d in &analysis.diags {
         assert!(
             (1..=line_count).contains(&d.line) && d.col >= 1,
             "diagnostic out of bounds: {d}"

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # microedge-models — ML model profiles for the MicroEdge reproduction

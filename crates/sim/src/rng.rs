@@ -145,6 +145,11 @@ impl DetRng {
             return 0;
         }
         if mean > 64.0 {
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "clamped non-negative by `max(0.0)`; `as` saturates at u64::MAX"
+            )]
             return self.normal(mean, mean.sqrt()).round().max(0.0) as u64;
         }
         let limit = (-mean).exp();

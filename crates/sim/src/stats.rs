@@ -225,6 +225,11 @@ impl Histogram {
             self.sorted = true;
         }
         let n = self.samples.len();
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "p is asserted in [0, 100], so the rank lies in [1, n]"
+        )]
         let rank = ((p / 100.0) * n as f64).ceil().max(1.0) as usize;
         Some(self.samples[rank.min(n) - 1])
     }
@@ -253,8 +258,11 @@ const SKETCH_SUB: u64 = 1 << SKETCH_PRECISION_BITS;
 /// the highest mappable index plus one (see [`sketch_bucket`] for
 /// `u64::MAX`). A [`LogLinearSketch`] never grows beyond this — ≈ 58 KiB
 /// of `u64` counts — whatever it records.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "const context, where `TryFrom` is not callable; both operands are small constants that fit any usize"
+)]
 pub const SKETCH_MAX_BUCKETS: usize =
-    // lint:allow(no-narrowing-as-cast): const context — `TryFrom` is not const-callable, and both operands are small compile-time constants that fit any usize.
     ((64 - SKETCH_PRECISION_BITS as usize) << SKETCH_PRECISION_BITS) + SKETCH_SUB as usize;
 
 /// The advertised quantile relative-error bound of [`LogLinearSketch`]:
@@ -267,15 +275,17 @@ pub const SKETCH_RELATIVE_ERROR: f64 = 1.0 / SKETCH_SUB as f64;
 /// bucket per nanosecond; above, each power-of-two range splits into 2⁷
 /// linear sub-buckets, so bucket width / bucket floor ≤ 2⁻⁷.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "const fn, where `TryFrom` is not callable; v < 2^7 in the first branch and the \
+              bucket index is bounded by SKETCH_MAX_BUCKETS in the second, so both fit any usize"
+)]
 const fn sketch_bucket(v: u64) -> usize {
     if v < SKETCH_SUB {
-        // lint:allow(no-narrowing-as-cast): const fn — v < 2^7 here, fits any usize.
         v as usize
     } else {
         let msb = 63 - v.leading_zeros() as u64;
-        // lint:allow(no-narrowing-as-cast): const fn — widening u32 -> u64 of a 7-bit constant.
         let offset = msb - SKETCH_PRECISION_BITS as u64;
-        // lint:allow(no-narrowing-as-cast): const fn — bucket index is bounded by SKETCH_MAX_BUCKETS.
         (((offset + 1) << SKETCH_PRECISION_BITS) + ((v >> offset) - SKETCH_SUB)) as usize
     }
 }
@@ -285,7 +295,6 @@ const fn sketch_bucket(v: u64) -> usize {
 /// "highest equivalent value" convention.
 #[inline]
 const fn sketch_bucket_high(i: usize) -> u64 {
-    // lint:allow(no-narrowing-as-cast): const fn — widening usize -> u64 on every supported target.
     let i = i as u64;
     if i < SKETCH_SUB {
         i
@@ -385,6 +394,11 @@ impl LogLinearSketch {
     /// # Panics
     ///
     /// Panics if `value` is NaN or negative — durations only.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the value is asserted non-negative first; `as` saturates at u64::MAX"
+    )]
     pub fn record(&mut self, value: f64) {
         assert!(!value.is_nan(), "cannot record NaN");
         assert!(value >= 0.0, "cannot record a negative duration: {value}");
@@ -447,6 +461,11 @@ impl LogLinearSketch {
         if self.count == 0 {
             return None;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "p is asserted in [0, 100], so the rank lies in [1, count]"
+        )]
         let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
         if rank == 1 {
             // The rank-1 order statistic is the minimum, which is retained

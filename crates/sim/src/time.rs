@@ -161,6 +161,11 @@ impl SimDuration {
     ///
     /// Panics if `millis` is negative or not finite.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the argument is asserted finite and non-negative first; `as` saturates at u64::MAX"
+    )]
     pub fn from_millis_f64(millis: f64) -> Self {
         assert!(
             millis.is_finite() && millis >= 0.0,
@@ -176,6 +181,11 @@ impl SimDuration {
     ///
     /// Panics if `secs` is negative or not finite.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the argument is asserted finite and non-negative first; `as` saturates at u64::MAX"
+    )]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0,
@@ -233,6 +243,11 @@ impl SimDuration {
     ///
     /// Panics if `factor` is negative or not finite.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the argument is asserted finite and non-negative first; `as` saturates at u64::MAX"
+    )]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         assert!(
             factor.is_finite() && factor >= 0.0,

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # microedge-tpu — Coral Edge TPU device model

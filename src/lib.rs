@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # MicroEdge — a multi-tenant edge cluster for scalable camera processing

@@ -96,7 +96,7 @@ fn run_fleet(
     for (shard, cams) in shards.iter().enumerate() {
         for (idx, &(milli, frames, offset_ms)) in cams.iter().enumerate() {
             let _ = world.admit_stream(
-                u32::try_from(shard).unwrap(),
+                u32::try_from(shard).expect("shard index fits u32"),
                 StreamSpec::builder(&format!("prop-{shard}-{idx}"), "mobilenet-v1")
                     .units(TpuUnits::from_micro(u64::from(milli) * 1_000))
                     .frame_limit(frames)

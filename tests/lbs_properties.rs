@@ -114,7 +114,13 @@ impl ReferenceWrr {
         let targets = weights
             .iter()
             .enumerate()
-            .map(|(i, &w)| (i as u32, i64::try_from(w).unwrap(), 0))
+            .map(|(i, &w)| {
+                (
+                    i as u32,
+                    i64::try_from(w).expect("generated weights fit i64"),
+                    0,
+                )
+            })
             .collect();
         ReferenceWrr { targets }
     }

@@ -105,7 +105,7 @@ fn run_lossy(
     seed: u64,
     workers: usize,
 ) -> (RunResults, FleetReport, NetReport, u64) {
-    let n = u32::try_from(shards.len()).unwrap();
+    let n = u32::try_from(shards.len()).expect("shard count fits u32");
     let clusters: Vec<_> = shards
         .iter()
         .map(|_| ClusterBuilder::new().trpis(2).vrpis(8).build())
@@ -129,7 +129,10 @@ fn run_lossy(
     for (shard, cams) in shards.iter().enumerate() {
         for (idx, cam) in cams.iter().enumerate() {
             if world
-                .admit_stream(u32::try_from(shard).unwrap(), spec_for("pre", idx, cam))
+                .admit_stream(
+                    u32::try_from(shard).expect("shard index fits u32"),
+                    spec_for("pre", idx, cam),
+                )
                 .is_ok()
             {
                 accepted += 1;

@@ -80,7 +80,10 @@ fn run_sharded(shards: &[Vec<Cam>], fault_seed: Option<u64>, workers: usize) -> 
         for (idx, cam) in cams.iter().enumerate() {
             // Refusals are part of the workload: both replays being compared
             // see the identical admission sequence either way.
-            let _ = world.admit_stream(u32::try_from(shard).unwrap(), spec_for(shard, idx, cam));
+            let _ = world.admit_stream(
+                u32::try_from(shard).expect("shard index fits u32"),
+                spec_for(shard, idx, cam),
+            );
         }
     }
     if let Some(seed) = fault_seed {
@@ -92,7 +95,7 @@ fn run_sharded(shards: &[Vec<Cam>], fault_seed: Option<u64>, workers: usize) -> 
             node: None,
             link: None,
         };
-        for shard in 0..u32::try_from(shards.len()).unwrap() {
+        for shard in 0..u32::try_from(shards.len()).expect("shard count fits u32") {
             let cluster = ClusterBuilder::new().trpis(2).vrpis(8).build();
             let schedule = FaultSchedule::generate(
                 &model,
