@@ -349,7 +349,8 @@ pub fn run_fleet_arm(defrag: bool) -> DefragFleetArm {
                 .build(),
         );
     }
-    let (results, report) = world.run_fleet_to_completion(SimTime::from_secs(30));
+    let workers = microedge_sim::par::worker_count(FLEET_CLUSTERS as usize);
+    let (results, report, _) = world.run_net_with_workers(SimTime::from_secs(30), workers);
     DefragFleetArm {
         defrag,
         admit_rejected: report.admit_rejected,

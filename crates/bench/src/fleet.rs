@@ -381,7 +381,8 @@ pub fn run_fleet_chaos_tier(clusters: u32, regions: u32, killed: u32) -> FleetCh
         world.kill_cluster(kill_at, ClusterId(k * stride));
     }
     let deadline = SimTime::from_secs(CHAOS_FRAME_LIMIT / 15 + 20);
-    let (results, report) = world.run_fleet_to_completion(deadline);
+    let workers = microedge_sim::par::worker_count(clusters as usize);
+    let (results, report, _) = world.run_net_with_workers(deadline, workers);
 
     let window = SimDuration::from_nanos(results.end().as_nanos());
     let mut availability_sum = 0.0;

@@ -27,7 +27,7 @@ use std::time::Instant;
 use microedge_cluster::topology::ClusterBuilder;
 use microedge_core::config::Features;
 use microedge_core::runtime::StreamSpec;
-use microedge_core::shard::{ShardedWorld, DEFAULT_EPOCH};
+use microedge_core::shard::{ShardedWorld, EPOCH};
 use microedge_metrics::report::Table;
 use microedge_sim::par;
 use microedge_sim::time::{SimDuration, SimTime};
@@ -155,7 +155,7 @@ pub fn run_sharded_point_with_workers(
     let admit_wall_s = admit_start.elapsed().as_secs_f64();
 
     let run_start = Instant::now();
-    let results = world.run_with_workers(SimTime::from_secs(frame_limit + 3), workers);
+    let (results, _, _) = world.run_net_with_workers(SimTime::from_secs(frame_limit + 3), workers);
     let run_wall_s = run_start.elapsed().as_secs_f64();
 
     ShardedScalePoint {
@@ -227,7 +227,7 @@ impl ShardedScaleStudy {
             frames = self.frame_limit,
             fps = SCALE_FPS,
             stride = EXPORT_STRIDE,
-            epoch = DEFAULT_EPOCH.as_millis_f64(),
+            epoch = EPOCH.as_millis_f64(),
             points = points,
         )
     }
@@ -273,7 +273,7 @@ impl ShardedScaleStudy {
             "### Sharded scale-out study — one replay, {frames} frames/camera at {fps} FPS, epoch {epoch} ms, byte-identical at any worker count\n{table}",
             frames = self.frame_limit,
             fps = SCALE_FPS,
-            epoch = DEFAULT_EPOCH.as_millis_f64(),
+            epoch = EPOCH.as_millis_f64(),
             table = table,
         )
     }

@@ -143,11 +143,6 @@ impl Node {
         &self.labels
     }
 
-    /// Adds or replaces a label.
-    pub fn set_label(&mut self, key: &str, value: &str) {
-        self.labels.insert(key.to_owned(), value.to_owned());
-    }
-
     /// `true` when every `(key, value)` in `selector` matches this node's
     /// labels.
     #[must_use]
@@ -178,8 +173,7 @@ mod tests {
 
     #[test]
     fn selector_matching() {
-        let mut n = Node::rpi4(NodeId(0), NodeKind::TRpi);
-        n.set_label("zone", "campus-east");
+        let n = Node::rpi4(NodeId(0), NodeKind::TRpi);
 
         let mut sel = BTreeMap::new();
         assert!(
@@ -188,11 +182,11 @@ mod tests {
         );
 
         sel.insert(TPU_LABEL.to_owned(), "true".to_owned());
-        sel.insert("zone".to_owned(), "campus-east".to_owned());
         assert!(n.matches_selector(&sel));
+        assert!(!Node::rpi4(NodeId(1), NodeKind::VRpi).matches_selector(&sel));
 
         sel.insert("zone".to_owned(), "campus-west".to_owned());
-        assert!(!n.matches_selector(&sel));
+        assert!(!n.matches_selector(&sel), "a label the node lacks");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! without visiting TPUs that cannot contribute. Plans are written into a
 //! caller-owned [`PlanBuffer`], so steady-state planning allocates nothing.
 //!
-//! The pre-index linear scan survives verbatim in [`reference`] as the
+//! The pre-index linear scan survives verbatim in [`mod@reference`] as the
 //! differential-testing oracle: for every request sequence, each indexed
 //! policy must produce byte-identical plans to its reference twin (see
 //! `tests/admission_differential.rs`).

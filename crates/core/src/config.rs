@@ -55,17 +55,6 @@ impl Features {
             co_compiling: true,
         }
     }
-
-    /// The four configurations of the paper's Fig. 6, strongest first.
-    #[must_use]
-    pub fn fig6_configurations() -> [(&'static str, Features); 4] {
-        [
-            ("w.p. + co-compile", Features::all()),
-            ("co-compile only", Features::co_compiling_only()),
-            ("w.p. only", Features::partitioning_only()),
-            ("neither", Features::none()),
-        ]
-    }
 }
 
 impl Default for Features {
@@ -201,7 +190,6 @@ mod tests {
         assert!(!Features::none().workload_partitioning);
         assert!(Features::partitioning_only().workload_partitioning);
         assert!(!Features::partitioning_only().co_compiling);
-        assert_eq!(Features::fig6_configurations().len(), 4);
     }
 
     #[test]

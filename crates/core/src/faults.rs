@@ -70,17 +70,6 @@ pub enum FaultKind {
     LinkRepair(NodeId),
 }
 
-impl FaultKind {
-    /// `true` for the repair half of a fault/repair pair.
-    #[must_use]
-    pub fn is_repair(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::TpuRepair(_) | FaultKind::NodeRepair(_) | FaultKind::LinkRepair(_)
-        )
-    }
-}
-
 /// A [`FaultKind`] at an instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
@@ -471,7 +460,8 @@ mod tests {
         assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
         // Single component: strict fail/repair alternation.
         for (i, e) in events.iter().enumerate() {
-            assert_eq!(e.kind.is_repair(), i % 2 == 1, "event {i}: {e:?}");
+            let repair = matches!(e.kind, FaultKind::TpuRepair(_));
+            assert_eq!(repair, i % 2 == 1, "event {i}: {e:?}");
         }
     }
 

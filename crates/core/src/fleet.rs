@@ -12,13 +12,12 @@
 //!   ([`crate::pool::TpuPool::capacity_summary`], itself O(1) off the
 //!   index maintained on commit/release/fail/restore);
 //! - the [`FrontDoor`] keeps those summaries in a **max-free segment
-//!   tree** over cluster ids plus **free-units buckets**, mirroring the
-//!   intra-cluster `CapacityIndex`, so "first cluster in this id range
-//!   with a big-enough free block" is one O(log C) descent. The tree is
-//!   two-level for latency — cache-line blocks of saturated u32 keys
-//!   under a binary tree of block maxima — and an aligned range (any
-//!   power-of-two region, the global fallback) rejects on a single node
-//!   load;
+//!   tree** over cluster ids, mirroring the intra-cluster `CapacityIndex`,
+//!   so "first cluster in this id range with a big-enough free block" is
+//!   one O(log C) descent. The tree is two-level for latency — cache-line
+//!   blocks of saturated u32 keys under a binary tree of block maxima —
+//!   and an aligned range (any power-of-two region, the global fallback)
+//!   rejects on a single node load;
 //! - placement is **locality-aware**: clusters are partitioned into
 //!   contiguous regions ([`FleetTopology`]), a stream prefers its home
 //!   region, spills to the `k` nearest regions in deterministic
@@ -58,7 +57,6 @@
 //! assert_eq!(placed.kind, ProbeKind::Spill(1));
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 
 use crate::pool::PoolCapacity;
@@ -485,9 +483,6 @@ struct FleetIndex {
     tree: Vec<u32>,
     /// Smallest power of two ≥ the block count.
     block_leaves: usize,
-    /// Exact max-free value → alive cluster ids, ascending — the
-    /// headroom-ordered iteration the fleet report uses.
-    buckets: BTreeMap<u64, BTreeSet<u32>>,
 }
 
 impl FleetIndex {
@@ -498,16 +493,15 @@ impl FleetIndex {
             keys: vec![0; blocks * BLOCK],
             tree: vec![0; 2 * block_leaves],
             block_leaves,
-            buckets: BTreeMap::new(),
         };
         for (id, summary) in summaries.iter().enumerate() {
-            index.insert(ClusterId::from_index(id).0, summary.placement_key());
+            index.set_leaf(ClusterId::from_index(id).0, summary.placement_key());
         }
         index
     }
 
     /// Keys saturate to u32 in the index (exact values live in the
-    /// summaries and buckets); monotone, so `key ≥ min` is preserved.
+    /// summaries); monotone, so `key ≥ min` is preserved.
     fn saturate(key: u64) -> u32 {
         u32::try_from(key).unwrap_or(u32::MAX)
     }
@@ -529,33 +523,10 @@ impl FleetIndex {
         }
     }
 
-    /// Indexes a cluster at `key` (dead clusters carry key 0 and stay out
-    /// of the buckets).
-    fn insert(&mut self, id: u32, key: u64) {
-        self.set_leaf(id, key);
-        if key > 0 {
-            self.buckets.entry(key).or_default().insert(id);
-        }
-    }
-
-    fn remove(&mut self, id: u32, key: u64) {
-        self.set_leaf(id, 0);
-        if key > 0 {
-            if let Some(bucket) = self.buckets.get_mut(&key) {
-                bucket.remove(&id);
-                if bucket.is_empty() {
-                    self.buckets.remove(&key);
-                }
-            }
-        }
-    }
-
     fn update(&mut self, id: u32, old_key: u64, new_key: u64) {
-        if old_key == new_key {
-            return;
+        if old_key != new_key {
+            self.set_leaf(id, new_key);
         }
-        self.remove(id, old_key);
-        self.insert(id, new_key);
     }
 
     /// First cluster with id in `[lo, hi)` and key ≥ `min`, in O(log C):
@@ -728,31 +699,6 @@ impl FrontDoor {
     #[must_use]
     pub fn stats(&self) -> PlacementStats {
         self.stats
-    }
-
-    /// Clusters not currently dead.
-    #[must_use]
-    pub fn live_clusters(&self) -> usize {
-        self.summaries
-            .iter()
-            .filter(|s| s.health() != HealthTier::Dead)
-            .count()
-    }
-
-    /// Total free micro-units across live clusters.
-    #[must_use]
-    pub fn fleet_free_micro(&self) -> u64 {
-        self.summaries.iter().map(|s| s.total_free).sum()
-    }
-
-    /// Alive clusters ordered by max-free block, biggest headroom first,
-    /// ids ascending within ties — off the free-units buckets.
-    pub fn clusters_by_headroom(&self) -> impl Iterator<Item = ClusterId> + '_ {
-        self.index
-            .buckets
-            .iter()
-            .rev()
-            .flat_map(|(_, ids)| ids.iter().copied().map(ClusterId))
     }
 
     /// Installs a fresh summary for `cluster` — the incremental feed from
@@ -1084,7 +1030,9 @@ mod tests {
         let mut door = FrontDoor::new(idle_fleet(2, 1), 1, 0);
         door.drain(ClusterId(0));
         door.drain(ClusterId(1));
-        assert_eq!(door.live_clusters(), 0);
+        for id in 0..2 {
+            assert_eq!(door.summary(ClusterId(id)).health(), HealthTier::Dead);
+        }
         assert_eq!(door.place(0, StreamDemand::uniform(1)), None);
         door.observe(ClusterId(1), ClusterSummary::empty(1));
         let placed = door.admit(0, StreamDemand::uniform(1)).expect("revived");
@@ -1144,15 +1092,6 @@ mod tests {
         assert_eq!(tier(17, 20), HealthTier::Degraded);
         assert_eq!(tier(10, 20), HealthTier::Critical);
         assert_eq!(tier(0, 20), HealthTier::Dead);
-    }
-
-    #[test]
-    fn clusters_by_headroom_orders_buckets_descending() {
-        let mut door = FrontDoor::new(idle_fleet(3, 1), 1, 0);
-        door.commit_placement(ClusterId(1), StreamDemand::uniform(300_000));
-        door.commit_placement(ClusterId(2), StreamDemand::uniform(600_000));
-        let order: Vec<u32> = door.clusters_by_headroom().map(|c| c.0).collect();
-        assert_eq!(order, vec![0, 1, 2]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! and *which TPUs have any room at all?* (the partitioning pass). A naive
 //! answer scans every account — O(M) per decision, the exact control-plane
 //! cost the paper's §6 scalability argument multiplies by fleet size. The
-//! pool therefore maintains a [`CapacityIndex`] incrementally on every
+//! pool therefore maintains a `CapacityIndex` incrementally on every
 //! [`TpuPool::commit`] / [`TpuPool::release`] / [`TpuPool::fail`] /
 //! [`TpuPool::restore`]:
 //!
@@ -139,13 +139,6 @@ impl TpuAccount {
     #[must_use]
     pub fn has_live_model(&self, model: &ModelId) -> bool {
         self.models.iter().any(|m| m.id == *model && m.refs > 0)
-    }
-
-    /// `true` when `model` is resident at all (live or awaiting lazy
-    /// eviction).
-    #[must_use]
-    pub fn has_model(&self, model: &ModelId) -> bool {
-        self.models.iter().any(|m| m.id == *model)
     }
 
     /// Ids of live models in co-compilation priority order.
@@ -322,7 +315,7 @@ impl CapacityIndex {
 }
 
 /// An O(1) snapshot of a pool's aggregate capacity, read straight off the
-/// incrementally maintained [`CapacityIndex`] — the raw material for the
+/// incrementally maintained `CapacityIndex` — the raw material for the
 /// per-cluster summaries the fleet front door ([`crate::fleet`]) keeps one
 /// level up. All unit figures are exact integer micro-units
 /// ([`TpuUnits::as_micro`]).
@@ -701,7 +694,11 @@ mod tests {
         let a = p.account(TpuId(0));
         assert_eq!(a.load(), TpuUnits::ZERO);
         assert!(!a.has_live_model(m.id()), "no live reference");
-        assert!(a.has_model(m.id()), "still resident until next co-compile");
+        assert_eq!(
+            a.resident_models(),
+            vec![(m.id().clone(), false)],
+            "still resident until next co-compile"
+        );
         assert_eq!(a.live_bytes(), 0, "dead model frees budget");
     }
 
@@ -715,7 +712,10 @@ mod tests {
         let live = mobilenet_v1();
         p.commit(&live, &[alloc(0, 0.2)]);
         let a = p.account(TpuId(0));
-        assert!(!a.has_model(dead.id()), "dead model evicted at co-compile");
+        assert!(
+            a.resident_models().iter().all(|(id, _)| id != dead.id()),
+            "dead model evicted at co-compile"
+        );
         assert!(a.has_live_model(live.id()));
     }
 

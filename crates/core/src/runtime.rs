@@ -604,7 +604,6 @@ pub struct RunResults {
     availability: BTreeMap<StreamId, StreamAvailability>,
     phases: BTreeMap<StreamId, StreamPhase>,
     lineage: BTreeMap<StreamId, StreamId>,
-    chain_latencies: BTreeMap<StreamId, OnlineStats>,
     remote_ingest: LogLinearSketch,
     commands_failed: u64,
     defrag: DefragStats,
@@ -628,16 +627,6 @@ impl RunResults {
     #[must_use]
     pub fn latency(&self, stream: StreamId) -> Option<&OnlineStats> {
         self.latencies.get(&stream)
-    }
-
-    /// `true` when every TPU-served frame of every stream finished within
-    /// `bound` — the per-frame latency SLO the paper's §2 motivates
-    /// (unbounded queue build-up would eventually violate it).
-    #[must_use]
-    pub fn all_within_latency(&self, bound: SimDuration) -> bool {
-        self.latencies
-            .values()
-            .all(|s| s.max().unwrap_or(0.0) <= bound.as_millis_f64())
     }
 
     /// `true` when every stream met its FPS SLO.
@@ -668,13 +657,6 @@ impl RunResults {
     #[must_use]
     pub fn breakdowns(&self) -> &BreakdownRecorder {
         &self.breakdowns
-    }
-
-    /// Mutable access to the latency statistics (e.g. for merging results
-    /// from sharded runs via [`BreakdownRecorder::merge`]; percentile
-    /// queries only need [`RunResults::breakdowns`]).
-    pub fn breakdowns_mut(&mut self) -> &mut BreakdownRecorder {
-        &mut self.breakdowns
     }
 
     /// Per-device execution counters.
@@ -806,7 +788,6 @@ impl RunResults {
             availability: BTreeMap::new(),
             phases: BTreeMap::new(),
             lineage: BTreeMap::new(),
-            chain_latencies: BTreeMap::new(),
             remote_ingest: LogLinearSketch::new(),
             commands_failed: 0,
             defrag: DefragStats::default(),
@@ -845,11 +826,6 @@ impl RunResults {
                 part.lineage
                     .into_iter()
                     .map(|(old, new)| (remap(old), remap(new))),
-            );
-            merged.chain_latencies.extend(
-                part.chain_latencies
-                    .into_iter()
-                    .map(|(id, s)| (remap(id), s)),
             );
             merged
                 .per_device_utilization
@@ -926,14 +902,6 @@ impl RunResults {
     #[must_use]
     pub fn successor(&self, stream: StreamId) -> Option<StreamId> {
         self.lineage.get(&stream).copied()
-    }
-
-    /// End-to-end latency statistics merged across every incarnation of the
-    /// lineage rooted at `root` — restarts no longer fragment a stream's
-    /// history.
-    #[must_use]
-    pub fn chain_latency(&self, root: StreamId) -> Option<&OnlineStats> {
-        self.chain_latencies.get(&root)
     }
 
     /// Renders the whole run as an aligned report: one row per stream
@@ -1613,16 +1581,7 @@ impl World {
         let mut streams = Vec::with_capacity(migrated.len());
         for (pod, plans) in &migrated {
             let stream_id = self.pods_to_streams[pod];
-            if let Some(stream) = self.stream_mut(stream_id) {
-                for (stage, (_, allocations)) in stream.stages.iter_mut().zip(plans) {
-                    stage.lbs = LbService::from_allocations(allocations);
-                }
-            }
-            for (_, allocations) in plans {
-                for alloc in allocations {
-                    self.sync_device(alloc.tpu());
-                }
-            }
+            self.apply_plans(stream_id, plans);
             streams.push(stream_id);
         }
         Ok(streams)
@@ -2677,13 +2636,6 @@ impl World {
             .enumerate()
             .map(|(i, s)| (StreamId::from_index(i), s.phase))
             .collect();
-        let mut chain_latencies: BTreeMap<StreamId, OnlineStats> = BTreeMap::new();
-        for s in &self.streams {
-            chain_latencies
-                .entry(s.root)
-                .and_modify(|stats| stats.merge(&s.latency))
-                .or_insert_with(|| s.latency.clone());
-        }
         let lineage = self.lineage;
         let (recovery, availability) = match self.chaos {
             Some(chaos) => {
@@ -2721,7 +2673,6 @@ impl World {
             availability,
             phases,
             lineage,
-            chain_latencies,
             remote_ingest: self.ingest,
             commands_failed: self.commands_failed,
             defrag: self.defrag.map_or_else(DefragStats::default, |d| d.stats),
@@ -3322,9 +3273,6 @@ mod tests {
         // total (≈ 39.3 ms).
         assert!((latency.mean() - 39.33).abs() < 0.1, "{}", latency.mean());
         assert!(latency.max().unwrap() < 40.0);
-        // Within one frame interval — the latency SLO holds trivially.
-        assert!(results.all_within_latency(SimDuration::from_millis_f64(1000.0 / 15.0)));
-        assert!(!results.all_within_latency(SimDuration::from_millis(20)));
     }
 
     #[test]
@@ -3700,7 +3648,7 @@ mod tests {
     }
 
     #[test]
-    fn restart_stream_links_lineage_and_merges_chain_latency() {
+    fn restart_stream_links_lineage() {
         let mut w = world(1, Features::all());
         let old = w.admit_stream(cam("cam-0")).unwrap();
         w.run_until(SimTime::from_secs(10));
@@ -3717,9 +3665,6 @@ mod tests {
         let results = w.run_to_completion(SimTime::from_secs(30));
         assert_eq!(results.successor(old), Some(new));
         assert_eq!(results.stream_phase(old), Some(StreamPhase::Superseded));
-        let merged = results.chain_latency(old).unwrap().count();
-        let split = results.latency(old).unwrap().count() + results.latency(new).unwrap().count();
-        assert_eq!(merged, split, "chain stats cover both incarnations");
         assert!(results.latency(old).unwrap().count() > 0);
         assert!(results.latency(new).unwrap().count() > 0);
     }

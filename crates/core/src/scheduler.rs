@@ -661,13 +661,6 @@ impl ExtendedScheduler {
         self.pool.restore(tpu);
     }
 
-    /// The degradation denominator `pod` is currently admitted at (1 =
-    /// full rate), if it holds an assignment.
-    #[must_use]
-    pub fn assignment_denominator(&self, pod: PodId) -> Option<u32> {
-        self.assignments.get(&pod).map(|a| a.den)
-    }
-
     /// Re-admits `pod` at `1/new_den` of its full-rate demand: the current
     /// allocations are released, every stage is re-planned at the new
     /// scale, and the plans are committed. Returns the new per-stage
@@ -1005,6 +998,17 @@ mod tests {
         (Orchestrator::new(cluster), sched)
     }
 
+    /// Units `pod` holds across all its allocations; a pod admitted at
+    /// `1/den` of its demand holds `1/den` of the full-rate units.
+    fn assigned_units(sched: &ExtendedScheduler, pod: PodId) -> TpuUnits {
+        sched
+            .assignment(pod)
+            .expect("pod holds an assignment")
+            .iter()
+            .map(Allocation::units)
+            .sum()
+    }
+
     fn coral_pie_spec(name: &str) -> PodSpec {
         PodSpec::builder(name, "coral-pie:latest")
             .resources(ResourceRequest::camera_default())
@@ -1230,14 +1234,17 @@ mod tests {
         let d = sched
             .deploy_scaled(&mut orch, coral_pie_spec("a"), 2)
             .unwrap();
-        assert_eq!(sched.assignment_denominator(d.pod()), Some(2));
+        assert_eq!(
+            assigned_units(&sched, d.pod()),
+            TpuUnits::from_micro(175_000)
+        );
         assert_eq!(
             sched.pool().account(TpuId(0)).load(),
             TpuUnits::from_micro(175_000),
             "admitted at half of 0.35 units"
         );
         let plans = sched.rescale(d.pod(), 1).unwrap();
-        assert_eq!(sched.assignment_denominator(d.pod()), Some(1));
+        assert_eq!(assigned_units(&sched, d.pod()), TpuUnits::from_f64(0.35));
         let total: TpuUnits = plans[0].1.iter().map(Allocation::units).sum();
         assert_eq!(total, TpuUnits::from_f64(0.35));
     }
@@ -1255,7 +1262,10 @@ mod tests {
         let err = sched.rescale(a.pod(), 1).unwrap_err();
         assert_eq!(err, DeployError::InsufficientTpu);
         assert_eq!(sched.pool().account(TpuId(0)).load(), load_before);
-        assert_eq!(sched.assignment_denominator(a.pod()), Some(2));
+        assert_eq!(
+            assigned_units(&sched, a.pod()),
+            TpuUnits::from_micro(175_000)
+        );
     }
 
     #[test]
@@ -1289,7 +1299,10 @@ mod tests {
         let tpu = d.allocations()[0].tpu();
         let outcome = sched.handle_tpu_failure(tpu);
         assert_eq!(outcome.recovered.len(), 1);
-        assert_eq!(sched.assignment_denominator(d.pod()), Some(2));
+        assert_eq!(
+            assigned_units(&sched, d.pod()),
+            TpuUnits::from_micro(175_000)
+        );
         let total: TpuUnits = outcome.recovered[0].plans[0]
             .1
             .iter()

@@ -7,7 +7,7 @@
 //! state and run concurrently on the deterministic worker pool
 //! ([`microedge_sim::par`]); all cross-shard traffic is exchanged only at
 //! the epoch barrier, serially, in a canonical order. That makes the replay
-//! bit-identical at any `MICROEDGE_WORKERS` value:
+//! bit-identical at any worker count:
 //!
 //! 1. **Partition.** Each shard drains its queue through
 //!    `EventQueue::pop_due(barrier)` (inclusive), so every event is handled
@@ -41,6 +41,7 @@
 //! use microedge_core::config::Features;
 //! use microedge_core::runtime::StreamSpec;
 //! use microedge_core::shard::ShardedWorld;
+//! use microedge_sim::par;
 //! use microedge_sim::time::SimTime;
 //!
 //! let clusters = (0..2).map(|_| ClusterBuilder::new().trpis(1).vrpis(2).build());
@@ -52,7 +53,8 @@
 //!         .build();
 //!     sharded.admit_stream(shard, spec).unwrap();
 //! }
-//! let results = sharded.run_to_completion(SimTime::from_secs(10));
+//! let workers = par::worker_count(2);
+//! let (results, _, _) = sharded.run_net_with_workers(SimTime::from_secs(10), workers);
 //! assert_eq!(results.reports().len(), 2);
 //! // Each shard's exports were ingested by its neighbour.
 //! assert_eq!(results.remote_ingest().count(), 60);
@@ -281,11 +283,11 @@ struct NetPlane {
 /// by send instant and stream id; refreshes by barrier alone).
 const REFRESH_KEY_SALT: u64 = 0x5245_4652_4553_4800;
 
-/// The default epoch length: half a second of simulated time. Long enough
+/// The epoch length: half a second of simulated time. Long enough
 /// that barrier overhead vanishes against millions of events per epoch,
 /// short enough that cross-shard latency (messages ride at earliest the
 /// next barrier) stays below a frame interval at 1 FPS.
-pub const DEFAULT_EPOCH: SimDuration = SimDuration::from_millis(500);
+pub const EPOCH: SimDuration = SimDuration::from_millis(500);
 
 /// A deterministic multi-cluster simulation: per-cluster [`World`] shards
 /// advanced in lock-step epochs with barrier-exchanged cross-shard traffic.
@@ -293,7 +295,6 @@ pub const DEFAULT_EPOCH: SimDuration = SimDuration::from_millis(500);
 #[derive(Debug)]
 pub struct ShardedWorld {
     shards: Vec<World>,
-    epoch: SimDuration,
     /// The last completed barrier (all shard clocks are aligned to it
     /// between epochs).
     now: SimTime,
@@ -315,8 +316,8 @@ fn shard_index(shard: u32) -> usize {
 
 impl ShardedWorld {
     /// Builds one shard per cluster with the built-in catalog and shipped
-    /// policy (the same defaults as [`World::new`]) and the
-    /// [`DEFAULT_EPOCH`] barrier interval.
+    /// policy (the same defaults as [`World::new`]) and the [`EPOCH`]
+    /// barrier interval.
     ///
     /// # Panics
     ///
@@ -333,7 +334,6 @@ impl ShardedWorld {
         );
         ShardedWorld {
             shards,
-            epoch: DEFAULT_EPOCH,
             now: SimTime::ZERO,
             mailbox: Vec::new(),
             next_seq: 0,
@@ -410,24 +410,6 @@ impl ShardedWorld {
             },
         }));
         self
-    }
-
-    /// Overrides the epoch length (barrier interval).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch` is zero.
-    #[must_use]
-    pub fn with_epoch(mut self, epoch: SimDuration) -> Self {
-        assert!(epoch > SimDuration::ZERO, "epoch must be positive");
-        self.epoch = epoch;
-        self
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The last completed epoch barrier.
@@ -622,55 +604,12 @@ impl ShardedWorld {
         });
     }
 
-    /// Runs epochs until every queue and the mailbox drain (or `deadline`
-    /// is reached), then merges the per-shard results. Worker count comes
-    /// from `MICROEDGE_WORKERS` / available parallelism, and — the whole
-    /// point — does not affect the results, byte for byte.
-    #[must_use]
-    pub fn run_to_completion(self, deadline: SimTime) -> RunResults {
-        let workers = par::worker_count(self.shards.len());
-        self.run_with_workers(deadline, workers)
-    }
-
-    /// [`ShardedWorld::run_to_completion`] with an explicit worker count
-    /// (the determinism tests pin 1/2/8 explicitly).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deadline` precedes the last completed barrier.
-    #[must_use]
-    pub fn run_with_workers(self, deadline: SimTime, workers: usize) -> RunResults {
-        self.run_fleet_with_workers(deadline, workers).0
-    }
-
-    /// [`ShardedWorld::run_to_completion`] that also returns the
-    /// fleet-tier [`FleetReport`] (all-zero unless a front door was
-    /// armed).
-    #[must_use]
-    pub fn run_fleet_to_completion(self, deadline: SimTime) -> (RunResults, FleetReport) {
-        let workers = par::worker_count(self.shards.len());
-        self.run_fleet_with_workers(deadline, workers)
-    }
-
-    /// [`ShardedWorld::run_fleet_to_completion`] with an explicit worker
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deadline` precedes the last completed barrier.
-    #[must_use]
-    pub fn run_fleet_with_workers(
-        self,
-        deadline: SimTime,
-        workers: usize,
-    ) -> (RunResults, FleetReport) {
-        let (results, report, _) = self.run_net_with_workers(deadline, workers);
-        (results, report)
-    }
-
-    /// [`ShardedWorld::run_fleet_with_workers`] that also returns the
-    /// network-tier [`NetReport`] (all-zero unless a network plane was
-    /// armed).
+    /// Runs epochs on `workers` threads until every queue and the mailbox
+    /// drain (or `deadline` is reached), then merges the per-shard results.
+    /// Returns them with the fleet-tier [`FleetReport`] (all-zero unless a
+    /// front door was armed) and the network-tier [`NetReport`] (all-zero
+    /// unless a network plane was armed). The worker count — the whole
+    /// point — does not affect any of the three, byte for byte.
     ///
     /// # Panics
     ///
@@ -697,7 +636,7 @@ impl ShardedWorld {
         while self.now < deadline {
             let barrier = self
                 .now
-                .checked_add(self.epoch)
+                .checked_add(EPOCH)
                 .unwrap_or(deadline)
                 .min(deadline);
             // 0. Advance the link state machines to the epoch's start:
@@ -1222,6 +1161,12 @@ mod tests {
     use super::*;
     use crate::net::{DegradedLink, LinkSchedule, LinkState};
 
+    /// Replays `sw` on the worker count the environment asks for.
+    fn run(sw: ShardedWorld, deadline: SimTime) -> (RunResults, FleetReport, NetReport) {
+        let workers = par::worker_count(sw.shards.len());
+        sw.run_net_with_workers(deadline, workers)
+    }
+
     fn cluster(trpis: u32) -> Cluster {
         ClusterBuilder::new().trpis(trpis).vrpis(4).build()
     }
@@ -1239,7 +1184,7 @@ mod tests {
             sw.admit_stream(shard, spec(&format!("cam-{shard}"), 45))
                 .unwrap();
         }
-        let results = sw.run_to_completion(SimTime::from_secs(30));
+        let results = run(sw, SimTime::from_secs(30)).0;
         assert_eq!(results.reports().len(), 3);
         assert!(results.all_met_fps());
         // Ids are remapped per shard.
@@ -1263,7 +1208,7 @@ mod tests {
         .unwrap();
         sw.admit_stream(1, spec("quiet", 30)).unwrap();
         let exported = {
-            let results = sw.run_to_completion(SimTime::from_secs(10));
+            let results = run(sw, SimTime::from_secs(10)).0;
             results.remote_ingest().count()
         };
         // Every completion of the export-flagged stream (and only those)
@@ -1280,7 +1225,7 @@ mod tests {
         let at = SimTime::from_secs(2);
         sw.schedule_command(at, 0, WorldCommand::Remove(cam.local));
         sw.schedule_command(at, 0, WorldCommand::Remove(cam.local));
-        let results = sw.run_to_completion(SimTime::from_secs(60));
+        let results = run(sw, SimTime::from_secs(60)).0;
         assert_eq!(results.commands_failed(), 1);
         // ~2 s at 15 FPS: far fewer than 1 000 frames completed.
         let completed = results.report(cam.packed()).unwrap().completed();
@@ -1295,7 +1240,7 @@ mod tests {
             0,
             WorldCommand::Admit(Box::new(spec("late", 15))),
         );
-        let results = sw.run_to_completion(SimTime::from_secs(30));
+        let results = run(sw, SimTime::from_secs(30)).0;
         assert_eq!(results.commands_failed(), 0);
         assert_eq!(results.reports().len(), 1);
         assert_eq!(results.reports()[0].completed(), 15);
@@ -1317,7 +1262,7 @@ mod tests {
         for i in 0..4 {
             sw.admit_stream(0, spec(&format!("cam-{i}"), 60)).unwrap();
         }
-        let sharded = sw.run_to_completion(deadline);
+        let sharded = run(sw, deadline).0;
         let mut plain = build();
         plain.run_until(deadline);
         let oracle = plain.finish(sharded.end());
@@ -1341,9 +1286,9 @@ mod tests {
             sw
         };
         let deadline = SimTime::from_secs(20);
-        let serial = format!("{:?}", build().run_with_workers(deadline, 1));
+        let serial = format!("{:?}", build().run_net_with_workers(deadline, 1).0);
         for workers in [2, 8] {
-            let parallel = format!("{:?}", build().run_with_workers(deadline, workers));
+            let parallel = format!("{:?}", build().run_net_with_workers(deadline, workers).0);
             assert_eq!(serial, parallel, "diverged at {workers} workers");
         }
     }
@@ -1375,7 +1320,7 @@ mod tests {
         for i in 0..5 {
             sw.admit_global(SimTime::ZERO, 0, spec(&format!("cam-{i}"), 30));
         }
-        let (results, report) = sw.run_fleet_to_completion(SimTime::from_secs(30));
+        let (results, report, _) = run(sw, SimTime::from_secs(30));
         assert_eq!(results.reports().len(), 5);
         assert!(results.all_met_fps());
         assert_eq!(report.placement.admitted, 5);
@@ -1408,7 +1353,7 @@ mod tests {
                 .frame_limit(15)
                 .build(),
         );
-        let (results, report) = sw.run_fleet_to_completion(SimTime::from_secs(30));
+        let (results, report, _) = run(sw, SimTime::from_secs(30));
         assert_eq!(results.reports().len(), 2);
         assert_eq!(report.placement.admitted, 2);
         assert_eq!(report.placement.rejections, 1);
@@ -1422,7 +1367,7 @@ mod tests {
         sw.admit_stream(0, spec("pre-1", 30)).unwrap();
         let mut sw = sw.with_front_door(1, 0);
         sw.admit_global(SimTime::ZERO, 0, spec("late", 30));
-        let (results, report) = sw.run_fleet_to_completion(SimTime::from_secs(30));
+        let (results, report, _) = run(sw, SimTime::from_secs(30));
         // Cluster 0 was already full at arming time, so the global
         // admission lands on cluster 1 — without waiting for a barrier
         // refresh.
@@ -1438,7 +1383,7 @@ mod tests {
         let fault_at = SimTime::from_millis(2_200);
         sw.kill_cluster(fault_at, ClusterId(0));
         let deadline = SimTime::from_secs(10);
-        let (results, report) = sw.run_fleet_with_workers(deadline, 1);
+        let (results, report, _) = sw.run_net_with_workers(deadline, 1);
         assert_eq!(report.clusters_killed, 1);
         assert_eq!(report.evacuated, 1);
         assert_eq!(report.readmitted, 1);
@@ -1471,7 +1416,7 @@ mod tests {
         let fault_at = SimTime::from_millis(2_200);
         sw.kill_cluster(fault_at, ClusterId(0));
         sw.kill_cluster(fault_at, ClusterId(1));
-        let (results, report) = sw.run_fleet_with_workers(SimTime::from_secs(10), 1);
+        let (results, report, _) = sw.run_net_with_workers(SimTime::from_secs(10), 1);
         assert_eq!(report.clusters_killed, 2);
         assert_eq!(report.evacuated, 1);
         assert_eq!(report.readmitted, 0);
@@ -1488,7 +1433,7 @@ mod tests {
         sw.admit_global(SimTime::ZERO, 0, spec("cam", 60));
         sw.kill_cluster(SimTime::from_secs(1), ClusterId(0));
         sw.kill_cluster(SimTime::from_secs(2), ClusterId(0));
-        let (_, report) = sw.run_fleet_to_completion(SimTime::from_secs(30));
+        let (_, report, _) = run(sw, SimTime::from_secs(30));
         assert_eq!(report.clusters_killed, 1);
         assert_eq!(report.evacuated, 1);
     }
@@ -1513,11 +1458,11 @@ mod tests {
         };
         let deadline = SimTime::from_secs(20);
         let serial = {
-            let (results, report) = build().run_fleet_with_workers(deadline, 1);
+            let (results, report, _) = build().run_net_with_workers(deadline, 1);
             format!("{results:?}|{report:?}")
         };
         for workers in [2, 8] {
-            let (results, report) = build().run_fleet_with_workers(deadline, workers);
+            let (results, report, _) = build().run_net_with_workers(deadline, workers);
             let parallel = format!("{results:?}|{report:?}");
             assert_eq!(serial, parallel, "diverged at {workers} workers");
         }
@@ -1700,7 +1645,7 @@ mod tests {
         }
         sw.admit_stream(0, spec("victim", 10_000)).unwrap();
         sw.kill_cluster(SimTime::from_millis(2_200), ClusterId(0));
-        let (results, report) = sw.run_fleet_with_workers(SimTime::from_secs(60), 1);
+        let (results, report, _) = sw.run_net_with_workers(SimTime::from_secs(60), 1);
         assert_eq!(report.evacuated, 1);
         assert_eq!(report.readmitted, 0);
         assert_eq!(report.gave_up, 1);

@@ -137,17 +137,6 @@ impl TpuUnits {
     pub fn whole_tpus_needed(self) -> u32 {
         u32::try_from(self.0.div_ceil(SCALE)).expect("unit counts fit in u32")
     }
-
-    /// The share of `self` that `part` represents, as a float in `[0, 1]`.
-    /// Returns 0.0 when `self` is zero.
-    #[must_use]
-    pub fn fraction_of(self, part: TpuUnits) -> f64 {
-        if self.0 == 0 {
-            0.0
-        } else {
-            part.0 as f64 / self.0 as f64
-        }
-    }
 }
 
 impl Add for TpuUnits {
@@ -242,14 +231,6 @@ mod tests {
         assert!(TpuUnits::from_micro(u64::MAX)
             .checked_add(TpuUnits::from_micro(1))
             .is_none());
-    }
-
-    #[test]
-    fn fraction_of_for_lbs_weights() {
-        let total = TpuUnits::from_f64(0.6);
-        let part = TpuUnits::from_f64(0.4);
-        assert!((total.fraction_of(part) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(TpuUnits::ZERO.fraction_of(part), 0.0);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! For every parsed function ([`crate::parser`]) this module records what
 //! the flow analyses need: the calls it makes (with a best-effort
 //! `Type::method` qualification), the nondeterminism *sources* it touches
-//! (wall clock, ambient RNG, unordered-collection iteration, env reads,
-//! pointer-to-int casts, float folds over unordered iterators), and how
+//! (wall clock, unordered-collection iteration, env reads, pointer-to-int
+//! casts, float folds over unordered iterators), and how
 //! many *panicking constructs* it contains (indexing/slicing, the
 //! `unwrap` family, explicit panic macros).
 //!
@@ -38,8 +38,8 @@ pub struct CallSite {
 /// A nondeterminism source occurrence inside a function body.
 #[derive(Debug, Clone)]
 pub struct TaintSource {
-    /// Stable source-class key (`wall-clock`, `ambient-rng`,
-    /// `unordered-iter`, `env-read`, `ptr-to-int`, `float-fold-unordered`).
+    /// Stable source-class key (`wall-clock`, `unordered-iter`,
+    /// `env-read`, `ptr-to-int`, `float-fold-unordered`).
     pub kind: &'static str,
     /// Human description of the exact construct (`` `Instant::now()` ``).
     pub what: String,
@@ -193,12 +193,6 @@ fn scan_sources(body: &[&Token], out: &mut Vec<TaintSource>) {
         match name {
             "Instant" | "SystemTime" if seq(body, i + 1, &[":", ":", "now"]) => {
                 push_source(out, body[i], "wall-clock", format!("`{name}::now()`"));
-            }
-            "thread_rng" | "from_entropy" | "OsRng" => {
-                push_source(out, body[i], "ambient-rng", format!("`{name}`"));
-            }
-            "rand" if seq(body, i + 1, &[":", ":", "random"]) => {
-                push_source(out, body[i], "ambient-rng", "`rand::random`".to_string());
             }
             "HashMap" | "HashSet" => {
                 has_unordered = true;

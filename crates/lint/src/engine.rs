@@ -124,9 +124,18 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         report.files_scanned += 1;
     }
 
-    // Phase 2: per-crate flow analyses over the call graphs.
+    // Phase 2: per-crate flow analyses over the call graphs. A configured
+    // panic-path entry point that resolves in no graph of a scanned crate
+    // is stale (renamed or deleted): its path would silently drop out of
+    // the ratchet and make the count look better, so it is a finding.
+    let mut unresolved: Vec<(&str, &str)> = config::PANIC_ENTRY_POINTS
+        .iter()
+        .copied()
+        .filter(|(file, _)| crate_fns.contains_key(&crate_of(file)))
+        .collect();
     for (krate, fns) in crate_fns {
         let graph = CrateGraph::build(fns);
+        unresolved.retain(|(file, qual)| graph.resolve_entry(file, qual).is_empty());
         for d in taint::taint_artifact_path(&graph) {
             let covered = file_allows
                 .get(&d.path)
@@ -142,6 +151,19 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     report
         .panic_breakdown
         .sort_by(|a, b| b.3.cmp(&a.3).then_with(|| a.0.cmp(&b.0)));
+    for (file, qual) in unresolved {
+        report.diags.push(Diagnostic {
+            rule: config::PANIC_PATH_RATCHET,
+            path: file.to_string(),
+            line: 1,
+            col: 1,
+            message: format!(
+                "panic-path entry point `{qual}` resolves to no function; point \
+                 PANIC_ENTRY_POINTS in crates/lint/src/config.rs at the code that \
+                 now runs that path"
+            ),
+        });
+    }
 
     report
         .diags

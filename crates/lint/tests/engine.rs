@@ -313,6 +313,52 @@ fn manifest_without_workspace_lints_is_reported() {
 }
 
 #[test]
+fn panic_entry_point_naming_a_missing_function_is_reported() {
+    // Every configured entry point resolves except the sharded one, whose
+    // file only has a method under another name — as after a rename that
+    // left the config behind.
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("stale_entry_workspace");
+    let _ = fs::remove_dir_all(&root);
+    let opted_in = "[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n";
+    let mut files: BTreeMap<&str, String> = BTreeMap::new();
+    let mut missing = None;
+    for &(file, qual) in config::PANIC_ENTRY_POINTS {
+        let (ty, method) = qual.split_once("::").expect("entries are Type::method");
+        let method = if ty == "ShardedWorld" {
+            missing = Some(qual);
+            "run_renamed"
+        } else {
+            method
+        };
+        let src = files.entry(file).or_default();
+        src.push_str(&format!(
+            "impl {ty} {{\n    pub fn {method}(&self) {{}}\n}}\n"
+        ));
+    }
+    let missing = missing.expect("a ShardedWorld entry point is configured");
+    files.insert("Cargo.toml", opted_in.to_string());
+    files.insert("crates/core/Cargo.toml", opted_in.to_string());
+    for (rel, src) in &files {
+        let path = root.join(rel);
+        fs::create_dir_all(path.parent().expect("file has a parent")).expect("mkdir");
+        fs::write(&path, src).expect("write");
+    }
+
+    let report = engine::lint_workspace(&root).expect("workspace scan");
+    let rendered: Vec<String> = report.diags.iter().map(|d| d.to_string()).collect();
+    assert_eq!(rendered.len(), 1, "{rendered:?}");
+    assert!(
+        rendered[0].starts_with("panic-path-ratchet: crates/core/src/shard.rs:1:1 "),
+        "{rendered:?}"
+    );
+    assert!(
+        rendered[0].contains(&format!("`{missing}`")),
+        "{rendered:?}"
+    );
+    fs::remove_dir_all(&root).expect("cleanup");
+}
+
+#[test]
 fn self_check_the_real_workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()

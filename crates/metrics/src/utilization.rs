@@ -71,12 +71,6 @@ impl BusyTracker {
         self.series.set(now, 0.0);
     }
 
-    /// `true` while inside a busy interval.
-    #[must_use]
-    pub fn is_busy(&self) -> bool {
-        self.busy_since.is_some()
-    }
-
     /// Cumulative busy time of *completed* intervals.
     #[must_use]
     pub fn total_busy(&self) -> SimDuration {
@@ -221,7 +215,6 @@ mod tests {
         t.begin_busy(SimTime::from_secs(0));
         // Still busy at the end of the run.
         assert!((t.utilization(SimTime::from_secs(10)) - 1.0).abs() < 1e-12);
-        assert!(t.is_busy());
         assert_eq!(t.total_busy(), SimDuration::ZERO);
     }
 

@@ -30,7 +30,6 @@
 //! ```
 
 pub mod control_latency;
-pub mod events;
 pub mod lifecycle;
 pub mod pod;
 pub mod scheduler;
@@ -38,7 +37,6 @@ pub mod spec;
 pub mod state;
 
 pub use control_latency::ControlPlaneModel;
-pub use events::{OrchEvent, TerminationReason};
 pub use lifecycle::{OrchError, Orchestrator};
 pub use pod::{PodId, PodPhase, PodSpec, ResourceRequest, EXT_MODEL, EXT_TPU_UNITS};
 pub use scheduler::DefaultScheduler;

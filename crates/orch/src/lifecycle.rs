@@ -13,7 +13,6 @@ use std::fmt;
 use microedge_cluster::node::NodeId;
 use microedge_cluster::topology::Cluster;
 
-use crate::events::{OrchEvent, TerminationReason};
 use crate::pod::{PodId, PodPhase, PodSpec};
 use crate::scheduler::DefaultScheduler;
 use crate::state::ClusterState;
@@ -87,7 +86,6 @@ pub struct Orchestrator {
     /// every record ever created — the scan was quadratic over a
     /// 100k-stream admission sweep.
     live_names: BTreeSet<String>,
-    events: Vec<OrchEvent>,
 }
 
 impl Orchestrator {
@@ -101,19 +99,7 @@ impl Orchestrator {
             scheduler: DefaultScheduler::new(),
             pods: Vec::new(),
             live_names: BTreeSet::new(),
-            events: Vec::new(),
         }
-    }
-
-    /// The control-plane event log, oldest first.
-    #[must_use]
-    pub fn events(&self) -> &[OrchEvent] {
-        &self.events
-    }
-
-    /// Drains and returns the event log.
-    pub fn take_events(&mut self) -> Vec<OrchEvent> {
-        std::mem::take(&mut self.events)
     }
 
     /// The managed cluster.
@@ -147,10 +133,6 @@ impl Orchestrator {
     pub fn create_pod(&mut self, spec: PodSpec) -> Result<PodId, OrchError> {
         self.check_name(&spec)?;
         let Some(node) = self.scheduler.best_node(&self.cluster, &self.state, &spec) else {
-            self.events.push(OrchEvent::SchedulingFailed {
-                name: spec.name().to_owned(),
-                reason: "no feasible node".to_owned(),
-            });
             return Err(OrchError::NoFeasibleNode);
         };
         Ok(self.bind(spec, node))
@@ -181,10 +163,6 @@ impl Orchestrator {
     pub fn create_pod_on(&mut self, spec: PodSpec, node: NodeId) -> Result<PodId, OrchError> {
         self.check_name(&spec)?;
         if !self.node_feasible(&spec, node) {
-            self.events.push(OrchEvent::SchedulingFailed {
-                name: spec.name().to_owned(),
-                reason: format!("{node} is not feasible"),
-            });
             return Err(OrchError::NodeNotFeasible(node));
         }
         Ok(self.bind(spec, node))
@@ -207,17 +185,11 @@ impl Orchestrator {
         let node = record.node;
         self.live_names.remove(record.spec.name());
         self.state.unbind(pod).expect("running pod must be bound");
-        self.events.push(OrchEvent::PodTerminated {
-            pod,
-            node,
-            reason: TerminationReason::Deleted,
-        });
         Ok(node)
     }
 
     /// Fails a node: it stops accepting pods and every pod running on it
-    /// terminates with [`TerminationReason::NodeFailure`]. Returns the
-    /// displaced pods. Idempotent for already-failed nodes.
+    /// terminates. Returns the displaced pods. Idempotent for already-failed nodes.
     ///
     /// # Panics
     ///
@@ -237,16 +209,7 @@ impl Orchestrator {
             record.phase = PodPhase::Terminated;
             self.live_names.remove(record.spec.name());
             self.state.unbind(pod).expect("displaced pod was bound");
-            self.events.push(OrchEvent::PodTerminated {
-                pod,
-                node,
-                reason: TerminationReason::NodeFailure,
-            });
         }
-        self.events.push(OrchEvent::NodeFailed {
-            node,
-            displaced: displaced.clone(),
-        });
         displaced
     }
 
@@ -305,11 +268,6 @@ impl Orchestrator {
         let id = PodId(u64::try_from(self.pods.len()).expect("pod count fits u64"));
         self.live_names.insert(spec.name().to_owned());
         self.state.bind(id, &spec, node);
-        self.events.push(OrchEvent::PodScheduled {
-            pod: id,
-            name: spec.name().to_owned(),
-            node,
-        });
         self.pods.push(PodRecord {
             spec,
             phase: PodPhase::Running,
@@ -421,34 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn events_record_the_lifecycle() {
-        let mut o = orch(1);
-        let pod = o.create_pod(spec("a")).unwrap();
-        for i in 0..3 {
-            o.create_pod(spec(&format!("filler-{i}"))).unwrap();
-        }
-        let _ = o.create_pod(spec("rejected"));
-        o.delete_pod(pod).unwrap();
-
-        let events = o.events();
-        assert!(matches!(
-            events[0],
-            OrchEvent::PodScheduled { pod: p, .. } if p == pod
-        ));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, OrchEvent::SchedulingFailed { name, .. } if name == "rejected")));
-        assert!(events.iter().any(|e| matches!(
-            e,
-            OrchEvent::PodTerminated { pod: p, reason: TerminationReason::Deleted, .. } if *p == pod
-        )));
-        // take_events drains.
-        let drained = o.take_events();
-        assert!(!drained.is_empty());
-        assert!(o.events().is_empty());
-    }
-
-    #[test]
     fn node_failure_displaces_pods_and_blocks_scheduling() {
         let mut o = orch(1);
         let a = o.create_pod(spec("a")).unwrap();
@@ -462,18 +392,7 @@ mod tests {
         assert_eq!(o.phase(b), Some(PodPhase::Terminated));
         // The single node is gone: nothing schedules.
         assert_eq!(o.create_pod(spec("c")), Err(OrchError::NoFeasibleNode));
-        // Events carry the failure reason.
-        assert!(o.events().iter().any(|e| matches!(
-            e,
-            OrchEvent::PodTerminated {
-                reason: TerminationReason::NodeFailure,
-                ..
-            }
-        )));
-        assert!(o
-            .events()
-            .iter()
-            .any(|e| matches!(e, OrchEvent::NodeFailed { .. })));
+        assert!(o.running_pods().is_empty());
         // Idempotent.
         assert!(o.fail_node(node).is_empty());
     }

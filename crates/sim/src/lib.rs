@@ -73,6 +73,6 @@ pub mod time;
 
 pub use event::EventQueue;
 pub use rng::DetRng;
-pub use series::{StepSeries, TimeSeries};
+pub use series::StepSeries;
 pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};

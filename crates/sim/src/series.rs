@@ -1,8 +1,7 @@
 //! Windowed time series for per-interval aggregates.
 //!
 //! The trace study (paper Fig. 6) reports per-minute averages of quantities
-//! that evolve continuously (TPU utilization, cameras served). A
-//! [`TimeSeries`] buckets observations into fixed windows;
+//! that evolve continuously (TPU utilization, cameras served).
 //! [`StepSeries`] integrates a piecewise-constant signal exactly, which is
 //! what "average utilization per minute" requires.
 //!
@@ -23,72 +22,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::time::{SimDuration, SimTime};
-
-/// Discrete observations bucketed into fixed windows; each bucket reports the
-/// mean of the observations that fell into it (0.0 for empty buckets).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimeSeries {
-    window: SimDuration,
-    sums: Vec<f64>,
-    counts: Vec<u64>,
-}
-
-impl TimeSeries {
-    /// Creates a series with the given bucket width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    #[must_use]
-    pub fn new(window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "bucket window must be non-zero");
-        TimeSeries {
-            window,
-            sums: Vec::new(),
-            counts: Vec::new(),
-        }
-    }
-
-    /// Bucket width.
-    #[must_use]
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
-    /// Records an observation at `time`.
-    pub fn record(&mut self, time: SimTime, value: f64) {
-        let idx = usize::try_from(time.as_nanos() / self.window.as_nanos())
-            .expect("window index fits usize");
-        if idx >= self.sums.len() {
-            self.sums.resize(idx + 1, 0.0);
-            self.counts.resize(idx + 1, 0);
-        }
-        self.sums[idx] += value;
-        self.counts[idx] += 1;
-    }
-
-    /// Per-bucket means.
-    #[must_use]
-    pub fn bucket_means(&self) -> Vec<f64> {
-        self.sums
-            .iter()
-            .zip(&self.counts)
-            .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
-            .collect()
-    }
-
-    /// Number of buckets touched so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sums.len()
-    }
-
-    /// `true` when no observation has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sums.is_empty()
-    }
-}
 
 /// Exact time-weighted averages of a piecewise-constant signal, per window.
 ///
@@ -227,23 +160,6 @@ mod tests {
 
     fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
-    }
-
-    #[test]
-    fn timeseries_bucket_means() {
-        let mut ts = TimeSeries::new(SimDuration::from_secs(10));
-        ts.record(secs(1), 1.0);
-        ts.record(secs(2), 3.0);
-        ts.record(secs(15), 10.0);
-        assert_eq!(ts.bucket_means(), vec![2.0, 10.0]);
-        assert_eq!(ts.len(), 2);
-    }
-
-    #[test]
-    fn timeseries_empty_buckets_are_zero() {
-        let mut ts = TimeSeries::new(SimDuration::from_secs(1));
-        ts.record(secs(3), 4.0);
-        assert_eq!(ts.bucket_means(), vec![0.0, 0.0, 0.0, 4.0]);
     }
 
     #[test]

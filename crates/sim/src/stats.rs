@@ -255,7 +255,7 @@ const SKETCH_PRECISION_BITS: u32 = 7;
 const SKETCH_SUB: u64 = 1 << SKETCH_PRECISION_BITS;
 
 /// Total bucket slots needed to cover the full `u64` nanosecond range:
-/// the highest mappable index plus one (see [`sketch_bucket`] for
+/// the highest mappable index plus one (see `sketch_bucket` for
 /// `u64::MAX`). A [`LogLinearSketch`] never grows beyond this — ≈ 58 KiB
 /// of `u64` counts — whatever it records.
 #[expect(

@@ -183,12 +183,6 @@ impl DiffDetector {
     pub fn effective_units(&self, units: TpuUnits) -> TpuUnits {
         TpuUnits::from_f64(units.as_f64() * self.pass_rate)
     }
-
-    /// The effective frame rate reaching the TPU.
-    #[must_use]
-    pub fn effective_fps(&self, fps: f64) -> f64 {
-        fps * self.pass_rate
-    }
 }
 
 #[cfg(test)]
@@ -247,7 +241,6 @@ mod tests {
         let dd = DiffDetector::coral_pie_calibrated();
         let reduced = dd.effective_units(TpuUnits::from_f64(0.3));
         assert_eq!(reduced, TpuUnits::from_f64(0.2));
-        assert!((dd.effective_fps(15.0) - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -56,12 +56,6 @@ pub struct CameraGraph {
 }
 
 impl CameraGraph {
-    /// An empty graph.
-    #[must_use]
-    pub fn new() -> Self {
-        CameraGraph::default()
-    }
-
     /// A straight corridor of `cameras` cameras with uniform `travel` time
     /// between neighbours — the paper's evaluation layout (time-shifted
     /// replays along a line of cameras).
@@ -82,11 +76,6 @@ impl CameraGraph {
         CameraGraph { corridors }
     }
 
-    /// Adds a corridor.
-    pub fn connect(&mut self, from: CameraId, to: CameraId, travel: SimDuration) {
-        self.corridors.push(Corridor { from, to, travel });
-    }
-
     /// All corridors.
     #[must_use]
     pub fn corridors(&self) -> &[Corridor] {
@@ -101,15 +90,6 @@ impl CameraGraph {
             .filter(|c| c.to == camera)
             .map(|c| (c.from, c.travel))
             .collect()
-    }
-
-    /// Number of distinct cameras mentioned in the graph.
-    #[must_use]
-    pub fn camera_count(&self) -> usize {
-        let mut ids: Vec<CameraId> = self.corridors.iter().flat_map(|c| [c.from, c.to]).collect();
-        ids.sort();
-        ids.dedup();
-        ids.len()
     }
 }
 
@@ -310,7 +290,6 @@ mod tests {
     fn corridor_graph_topology() {
         let g = CameraGraph::corridor(4, SimDuration::from_secs(12));
         assert_eq!(g.corridors().len(), 3);
-        assert_eq!(g.camera_count(), 4);
         assert!(g.upstream_of(CameraId(0)).is_empty());
         assert_eq!(
             g.upstream_of(CameraId(2)),
@@ -402,9 +381,14 @@ mod tests {
     #[test]
     fn branching_graph_accepts_either_upstream() {
         // Y-shaped: cameras 0 and 1 both feed camera 2.
-        let mut g = CameraGraph::new();
-        g.connect(CameraId(0), CameraId(2), SimDuration::from_secs(5));
-        g.connect(CameraId(1), CameraId(2), SimDuration::from_secs(9));
+        let corridor = |from, travel| Corridor {
+            from: CameraId(from),
+            to: CameraId(2),
+            travel: SimDuration::from_secs(travel),
+        };
+        let g = CameraGraph {
+            corridors: vec![corridor(0, 5), corridor(1, 9)],
+        };
         let mut tracker = TrackBuilder::new(g, SimDuration::from_secs(1));
         tracker.observe(Observation {
             camera: CameraId(1),

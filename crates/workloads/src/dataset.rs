@@ -40,12 +40,6 @@ impl VideoSegment {
         VideoSegment::new(1000, 15.0)
     }
 
-    /// The paper's 3DPeople sample: 1000 images at 15 FPS.
-    #[must_use]
-    pub fn people_3d() -> Self {
-        VideoSegment::new(1000, 15.0)
-    }
-
     /// Number of frames.
     #[must_use]
     pub fn frames(&self) -> u64 {

@@ -4,14 +4,14 @@
 //!
 //! Six cameras share three TPUs; mid-run one tRPi node dies. The extended
 //! scheduler re-admits displaced pods onto the survivors where capacity
-//! allows, streams that cannot be re-placed stop cleanly, and the
-//! orchestrator's event log tells the whole story.
+//! allows, and streams that cannot be re-placed stop cleanly. Each camera's
+//! pod phase and node, read back from the orchestrator, and its outcome in
+//! the run results show what happened.
 
 use microedge::cluster::node::NodeId;
 use microedge::cluster::topology::ClusterBuilder;
 use microedge::core::config::Features;
 use microedge::core::runtime::{StreamSpec, World};
-use microedge::orch::events::OrchEvent;
 use microedge::sim::time::{SimDuration, SimTime};
 
 fn main() {
@@ -46,23 +46,13 @@ fn main() {
     world.run_until(SimTime::from_secs(20));
     let survivors = world.active_streams();
 
-    println!("\nControl-plane event log (last 8 events):");
-    let events: Vec<OrchEvent> = world.orchestrator().events().to_vec();
-    for e in events.iter().rev().take(8).rev() {
-        match e {
-            OrchEvent::PodScheduled { pod, name, node } => {
-                println!("  PodScheduled    {pod} ({name}) → {node}")
-            }
-            OrchEvent::SchedulingFailed { name, reason } => {
-                println!("  SchedulingFail  {name}: {reason}")
-            }
-            OrchEvent::PodTerminated { pod, node, reason } => {
-                println!("  PodTerminated   {pod} on {node} ({reason:?})")
-            }
-            OrchEvent::NodeFailed { node, displaced } => {
-                println!("  NodeFailed      {node}, displaced {displaced:?}")
-            }
-        }
+    println!("\nControl plane at t=20 s (pod phase and node per camera):");
+    let orch = world.orchestrator();
+    for cam in &cams {
+        let pod = world.pod_of(*cam).expect("every admitted cam has a pod");
+        let phase = orch.phase(pod).expect("the pod was created");
+        let node = orch.node_of(pod).expect("the pod was bound");
+        println!("  {cam}: {pod} {phase:?} on {node}");
     }
 
     let results = world.finish(SimTime::from_secs(20));
@@ -75,8 +65,11 @@ fn main() {
         let r = results
             .report(*cam)
             .expect("every admitted cam has a report");
+        let phase = results
+            .stream_phase(*cam)
+            .expect("every admitted cam has a phase");
         println!(
-            "  {}: {:>4} frames completed, {:.2} FPS",
+            "  {}: {:>4} frames completed, {:.2} FPS, ended {phase:?}",
             r.stream(),
             r.completed(),
             r.achieved_fps()

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI-style gate: formatting, lints-as-errors, build, the test suite, and
-# the five artifact determinism gates (chaos, scale, fleet, net, defrag).
+# CI-style gate: formatting, lints-as-errors, rustdoc links, build, the test
+# suite, and the five artifact determinism gates (chaos, scale, fleet, net,
+# defrag).
 # Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
@@ -14,6 +15,10 @@ cargo run --quiet -p microedge-lint
 # clippy.toml and [workspace.lints] carry the type-aware determinism bans.
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Intra-doc links to renamed or deleted items must not dangle.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo build --release"
 cargo build --release --workspace

@@ -105,7 +105,9 @@ fn run_fleet(
             );
         }
     }
-    world.run_with_workers(SimTime::from_secs(120), workers)
+    world
+        .run_net_with_workers(SimTime::from_secs(120), workers)
+        .0
 }
 
 proptest! {

@@ -106,7 +106,9 @@ fn run_sharded(shards: &[Vec<Cam>], fault_seed: Option<u64>, workers: usize) -> 
             world.inject_faults(shard, &schedule);
         }
     }
-    world.run_with_workers(SimTime::from_secs(120), workers)
+    world
+        .run_net_with_workers(SimTime::from_secs(120), workers)
+        .0
 }
 
 proptest! {
