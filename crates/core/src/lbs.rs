@@ -100,7 +100,10 @@ impl LbService {
     /// Deliberately named like `Iterator::next` — the LBS *is* an infinite
     /// dispatch sequence — but it cannot implement `Iterator` because it
     /// never terminates and returns a bare `TpuId`.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "an endless dispatch sequence returning a bare TpuId, not an Iterator"
+    )]
     pub fn next(&mut self) -> TpuId {
         if self.total == 0 {
             // All-zero weights (e.g. a degenerate sub-unit rounding): smooth

@@ -259,24 +259,49 @@ struct NetPlane {
     staleness_bound: SimDuration,
     /// Control messages awaiting delivery or give-up.
     pending: Vec<PendingNetCommand>,
-    /// Last heartbeat instant heard from each cluster.
-    last_heard: Vec<SimTime>,
-    /// Index of each cluster's next heartbeat tick.
-    hb_next: Vec<u64>,
-    /// Clusters whose lease has expired at the fleet-level detector.
-    suspect: Vec<bool>,
-    /// `true` when the open suspicion is a gray failure (the cluster was
-    /// alive — only its link was down); these reconcile when heartbeats
-    /// resume.
-    gray: Vec<bool>,
-    suspect_since: Vec<SimTime>,
-    /// Live streams on each cluster when its suspicion opened.
-    affected: Vec<u64>,
-    /// Last barrier whose summary refresh got through, per cluster.
-    last_refresh: Vec<SimTime>,
-    /// Clusters currently drained for exceeding the staleness bound.
-    stale: Vec<bool>,
+    /// Detector and refresh state of each cluster's uplink.
+    leases: Vec<LinkLease>,
     report: NetReport,
+}
+
+/// One uplink's state at the fleet-level lease detector and summary
+/// refresh channel.
+#[derive(Debug, Clone, Copy)]
+struct LinkLease {
+    /// Last heartbeat instant heard from the cluster.
+    last_heard: SimTime,
+    /// Index of the cluster's next heartbeat tick.
+    hb_next: u64,
+    suspicion: Suspicion,
+    /// Last barrier whose summary refresh got through.
+    last_refresh: SimTime,
+    /// Drained for exceeding the staleness bound.
+    stale: bool,
+}
+
+impl LinkLease {
+    const NEW: Self = Self {
+        last_heard: SimTime::ZERO,
+        hb_next: 1,
+        suspicion: Suspicion::None,
+        last_refresh: SimTime::ZERO,
+        stale: false,
+    };
+}
+
+/// Whether a cluster's lease has expired at the fleet-level detector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Suspicion {
+    None,
+    /// A true positive: the cluster really died.
+    Dead,
+    /// A gray failure: the cluster was alive, only its link was down.
+    /// Reconciles when heartbeats resume.
+    Gray {
+        since: SimTime,
+        /// Live streams on the cluster when the suspicion opened.
+        affected: u64,
+    },
 }
 
 /// Domain separator of summary-refresh telemetry keys (frame exports key
@@ -396,14 +421,7 @@ impl ShardedWorld {
             detection: cfg.detection,
             staleness_bound: cfg.staleness_bound,
             pending: Vec::new(),
-            last_heard: vec![SimTime::ZERO; links],
-            hb_next: vec![1; links],
-            suspect: vec![false; links],
-            gray: vec![false; links],
-            suspect_since: vec![SimTime::ZERO; links],
-            affected: vec![0; links],
-            last_refresh: vec![SimTime::ZERO; links],
-            stale: vec![false; links],
+            leases: vec![LinkLease::NEW; links],
             report: NetReport {
                 suspicion_ns: vec![0; links],
                 ..NetReport::default()
@@ -865,69 +883,67 @@ impl NetPlane {
         if hb.is_zero() {
             return;
         }
-        for (link, shard) in shards.iter().enumerate() {
+        let links = shards
+            .iter()
+            .zip(&mut self.leases)
+            .zip(&mut self.report.suspicion_ns);
+        for (link, ((shard, lease), suspicion_ns)) in links.enumerate() {
             let l = u32::try_from(link).expect("shard count fits u32");
             let dead = fleet.as_ref().is_some_and(|f| f.dead[link]);
             loop {
-                let tick_idx = self.hb_next[link];
+                let tick_idx = lease.hb_next;
                 let tick = SimTime::from_nanos(hb.as_nanos().saturating_mul(tick_idx));
                 if tick > barrier {
                     break;
                 }
-                self.hb_next[link] += 1;
+                lease.hb_next += 1;
                 if dead {
                     continue;
                 }
                 if self.transport.send_heartbeat(l, tick_idx) {
-                    self.last_heard[link] = tick;
+                    lease.last_heard = tick;
                 }
             }
-            let silent = barrier.saturating_since(self.last_heard[link]);
-            if !self.suspect[link] && silent > self.detection.lease {
-                self.suspect[link] = true;
-                self.suspect_since[link] = barrier;
-                self.report.detection.detections += 1;
-                if dead {
-                    // A true positive: the cluster really died. Its outage
-                    // accounting already rides the evacuation trackers.
-                    self.gray[link] = false;
-                    self.affected[link] = 0;
-                } else {
-                    self.gray[link] = true;
-                    self.report.detection.false_positives += 1;
-                    let streams =
-                        u64::try_from(shard.active_streams()).expect("stream count fits u64");
-                    self.affected[link] = streams;
-                    self.report.detection.suspected_streams += streams;
-                    if let Some(f) = fleet.as_mut() {
-                        f.door.drain(ClusterId(l));
+            let lapsed = barrier.saturating_since(lease.last_heard) > self.detection.lease;
+            match lease.suspicion {
+                Suspicion::None if lapsed => {
+                    self.report.detection.detections += 1;
+                    if dead {
+                        // Its outage accounting already rides the
+                        // evacuation trackers.
+                        lease.suspicion = Suspicion::Dead;
+                    } else {
+                        self.report.detection.false_positives += 1;
+                        let streams =
+                            u64::try_from(shard.active_streams()).expect("stream count fits u64");
+                        lease.suspicion = Suspicion::Gray {
+                            since: barrier,
+                            affected: streams,
+                        };
+                        self.report.detection.suspected_streams += streams;
+                        if let Some(f) = fleet.as_mut() {
+                            f.door.drain(ClusterId(l));
+                        }
                     }
                 }
-            } else if self.suspect[link]
-                && self.gray[link]
-                && !dead
-                && silent <= self.detection.lease
-            {
-                self.suspect[link] = false;
-                self.gray[link] = false;
-                self.report.detection.reconciliations += 1;
-                self.report.detection.reconciled_streams += self.affected[link];
-                self.affected[link] = 0;
-                self.report.suspicion_ns[link] += barrier
-                    .saturating_since(self.suspect_since[link])
-                    .as_nanos();
-                // The summary itself is restored by the next delivered
-                // refresh (`exchange_fleet`), which can run this barrier.
+                Suspicion::Gray { since, affected } if !dead && !lapsed => {
+                    lease.suspicion = Suspicion::None;
+                    self.report.detection.reconciliations += 1;
+                    self.report.detection.reconciled_streams += affected;
+                    *suspicion_ns += barrier.saturating_since(since).as_nanos();
+                    // The summary itself is restored by the next delivered
+                    // refresh (`exchange_fleet`), which can run this barrier.
+                }
+                _ => {}
             }
         }
     }
 
     /// Closes still-open gray suspicion spans and freezes the ledgers.
     fn finish(mut self: Box<Self>, end: SimTime) -> NetReport {
-        for link in 0..self.suspect.len() {
-            if self.suspect[link] && self.gray[link] {
-                self.report.suspicion_ns[link] +=
-                    end.saturating_since(self.suspect_since[link]).as_nanos();
+        for (lease, suspicion_ns) in self.leases.iter().zip(&mut self.report.suspicion_ns) {
+            if let Suspicion::Gray { since, .. } = lease.suspicion {
+                *suspicion_ns += end.saturating_since(since).as_nanos();
             }
         }
         self.report.stats = *self.transport.stats();
@@ -1033,7 +1049,8 @@ fn exchange_fleet(
             continue;
         }
         if let Some(n) = net.as_deref_mut() {
-            if n.suspect[i] {
+            let lease = &mut n.leases[i];
+            if lease.suspicion != Suspicion::None {
                 continue;
             }
             let key = barrier.as_nanos().wrapping_add(REFRESH_KEY_SALT);
@@ -1041,17 +1058,17 @@ fn exchange_fleet(
                 // Refresh lost. The door keeps acting on the stale summary
                 // until the staleness bound trips; past it, drain the
                 // cluster rather than place against fiction.
-                let age = barrier.saturating_since(n.last_refresh[i]);
-                if !n.stale[i] && age > n.staleness_bound {
-                    n.stale[i] = true;
+                let age = barrier.saturating_since(lease.last_refresh);
+                if !lease.stale && age > n.staleness_bound {
+                    lease.stale = true;
                     n.report.stale_drains += 1;
                     f.door.drain(ClusterId(id));
                 }
                 continue;
             }
-            n.last_refresh[i] = barrier;
-            if n.stale[i] {
-                n.stale[i] = false;
+            lease.last_refresh = barrier;
+            if lease.stale {
+                lease.stale = false;
                 n.report.stale_restores += 1;
             }
         }

@@ -23,6 +23,10 @@ pub const WORKERS_ENV: &str = "MICROEDGE_WORKERS";
 /// `MICROEDGE_WORKERS` override if set (clamped to at least 1), otherwise
 /// the host's available parallelism, never more than `jobs`.
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "MICROEDGE_WORKERS only picks the worker count; outputs are worker-invariant"
+)]
 pub fn worker_count(jobs: usize) -> usize {
     let configured = std::env::var(WORKERS_ENV)
         .ok()
