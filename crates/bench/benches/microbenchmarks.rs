@@ -231,7 +231,7 @@ fn bench_defrag_planner(c: &mut Criterion) {
     let mut orch = Orchestrator::new(cluster);
     let mut pods = Vec::new();
     for i in 0..TPUS * 4 {
-        let spec = PodSpec::builder(&format!("cam-{i}"), "coral-pie:latest")
+        let spec = PodSpec::builder(format!("cam-{i}"), "coral-pie:latest")
             .resources(ResourceRequest::camera_default())
             .extension(EXT_MODEL, "mobilenet-v1")
             .extension(EXT_TPU_UNITS, "0.25")

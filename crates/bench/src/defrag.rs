@@ -204,7 +204,7 @@ pub fn run_churn_arm(trace: &[Vec<Op>], tpus: u32, defrag: bool) -> DefragArm {
                 Op::Arrive { model, micro } => {
                     let ordinal = arrivals;
                     arrivals += 1;
-                    let spec = PodSpec::builder(&format!("cam-{ordinal}"), "coral-pie:latest")
+                    let spec = PodSpec::builder(format!("cam-{ordinal}"), "coral-pie:latest")
                         .resources(ResourceRequest::camera_default())
                         .extension(EXT_MODEL, model)
                         .extension(EXT_TPU_UNITS, &format!("{}", *micro as f64 / 1e6))

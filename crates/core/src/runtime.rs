@@ -77,7 +77,7 @@ use microedge_metrics::utilization::FleetUtilization;
 use microedge_models::catalog::Catalog;
 use microedge_models::profile::{ModelId, ModelProfile};
 use microedge_orch::lifecycle::Orchestrator;
-use microedge_orch::pod::{PodId, PodSpec, ResourceRequest, EXT_MODEL, EXT_TPU_UNITS};
+use microedge_orch::pod::{PodId, PodSpec, ResourceRequest};
 use microedge_sim::event::EventQueue;
 use microedge_sim::inline::Inline;
 use microedge_sim::rng::DetRng;
@@ -93,7 +93,7 @@ use crate::config::{DataPlaneConfig, Features};
 use crate::defrag::{self, DefragConfig};
 use crate::faults::{ChaosConfig, FaultKind, FaultSchedule};
 use crate::lbs::LbService;
-use crate::scheduler::{DeployError, Deployment, ExtendedScheduler};
+use crate::scheduler::{DeployError, Deployment, ExtendedScheduler, TpuRequest};
 use crate::units::TpuUnits;
 
 /// Identifies a camera stream for its lifetime.
@@ -168,11 +168,17 @@ struct StageSpec {
     units: Option<TpuUnits>,
 }
 
+/// A stream's pod spec and typed per-stage TPU requests, with each stage's
+/// interned model profile (see `World::build_pod_spec`).
+type PodRequest = (PodSpec, Inline<TpuRequest>, Inline<Arc<ModelProfile>>);
+
 /// Describes one camera stream to admit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamSpec {
-    name: String,
-    stages: Vec<StageSpec>,
+    /// Shared with the stream's pod spec (and the orchestrator's live-name
+    /// index), so admission copies no string.
+    name: Arc<str>,
+    stages: Inline<StageSpec>,
     fps: f64,
     frame_limit: Option<u64>,
     start_offset: SimDuration,
@@ -189,11 +195,11 @@ impl StreamSpec {
     pub fn builder(name: &str, model: &str) -> StreamSpecBuilder {
         StreamSpecBuilder {
             spec: StreamSpec {
-                name: name.to_owned(),
-                stages: vec![StageSpec {
+                name: name.into(),
+                stages: Inline::One([StageSpec {
                     model: ModelId::new(model),
                     units: None,
-                }],
+                }]),
                 fps: 15.0,
                 frame_limit: None,
                 start_offset: SimDuration::ZERO,
@@ -211,10 +217,10 @@ impl StreamSpec {
         &self.name
     }
 
-    /// The first stage's model.
+    /// The first stage's model (every built spec has one).
     #[must_use]
-    pub fn model(&self) -> &ModelId {
-        &self.stages[0].model
+    pub fn model(&self) -> Option<&ModelId> {
+        self.stages.first().map(|s| &s.model)
     }
 
     /// All stage models, in pipeline order.
@@ -254,11 +260,9 @@ impl StreamSpecBuilder {
     /// and frame rate).
     #[must_use]
     pub fn units(mut self, units: TpuUnits) -> Self {
-        self.spec
-            .stages
-            .last_mut()
-            .expect("builder always has a stage")
-            .units = Some(units);
+        if let Some(stage) = self.spec.stages.last_mut() {
+            stage.units = Some(units);
+        }
         self
     }
 
@@ -961,7 +965,13 @@ pub struct World {
     /// Interned model profiles shared by every stream stage running the
     /// model (see `intern_profile`).
     profiles: BTreeMap<ModelId, Arc<ModelProfile>>,
-    pods_to_streams: BTreeMap<PodId, StreamId>,
+    /// The stream each pod serves, indexed by `PodId`: this world's
+    /// orchestrator issues pod ids densely from 0 and never reuses them.
+    /// Read through `stream_of_pod`, which drops pods a readmission
+    /// replaced.
+    pods_to_streams: Vec<StreamId>,
+    /// The container image of every camera pod, shared by their specs.
+    image: Arc<str>,
     fleet: FleetUtilization,
     breakdowns: BreakdownRecorder,
     served: StepSeries,
@@ -1065,7 +1075,8 @@ impl World {
             streams: Vec::new(),
             active_count: 0,
             profiles: BTreeMap::new(),
-            pods_to_streams: BTreeMap::new(),
+            pods_to_streams: Vec::new(),
+            image: Arc::from("microedge-camera:latest"),
             fleet: FleetUtilization::new(tpu_count, METRIC_WINDOW),
             breakdowns: BreakdownRecorder::new(),
             served: StepSeries::new(METRIC_WINDOW),
@@ -1122,6 +1133,22 @@ impl World {
         self.stream(stream).map(|s| s.pod)
     }
 
+    /// The stream `pod` currently backs, if any.
+    fn stream_of_pod(&self, pod: PodId) -> Option<StreamId> {
+        let sid = *self.pods_to_streams.get(usize::try_from(pod.0).ok()?)?;
+        (self.stream(sid)?.pod == pod).then_some(sid)
+    }
+
+    /// Records that the just-created `pod` backs `sid`.
+    fn map_pod(&mut self, pod: PodId, sid: StreamId) {
+        debug_assert_eq!(
+            usize::try_from(pod.0).ok(),
+            Some(self.pods_to_streams.len()),
+            "pod ids are dense"
+        );
+        self.pods_to_streams.push(sid);
+    }
+
     #[inline]
     fn stream(&self, id: StreamId) -> Option<&StreamRuntime> {
         self.streams.get(id.index())
@@ -1167,64 +1194,69 @@ impl World {
         self.admit_with_root(spec, None)
     }
 
-    /// Returns the shared, interned profile for `model`, cloning out of the
-    /// catalog only on first use — every stream running the same model
-    /// holds the same `Arc`.
-    fn intern_profile(&mut self, model: &ModelId) -> Result<Arc<ModelProfile>, DeployError> {
-        if let Some(profile) = self.profiles.get(model) {
-            return Ok(Arc::clone(profile));
+    /// Returns the interned id and shared profile for `model`, cloning out
+    /// of the catalog only on first use — every stream running the same
+    /// model holds the catalog's id and the same profile `Arc`.
+    fn intern_profile(
+        &mut self,
+        model: &ModelId,
+    ) -> Result<(ModelId, Arc<ModelProfile>), DeployError> {
+        if let Some((id, profile)) = self.profiles.get_key_value(model) {
+            return Ok((id.clone(), Arc::clone(profile)));
         }
-        let profile = Arc::new(
-            self.sched
-                .catalog()
-                .get(model)
-                .ok_or_else(|| DeployError::UnknownModel(model.clone()))?
-                .clone(),
-        );
-        self.profiles.insert(model.clone(), Arc::clone(&profile));
-        Ok(profile)
+        let profile = self
+            .sched
+            .catalog()
+            .get(model)
+            .ok_or_else(|| DeployError::UnknownModel(model.clone()))?
+            .clone();
+        let id = profile.id().clone();
+        let profile = Arc::new(profile);
+        self.profiles.insert(id.clone(), Arc::clone(&profile));
+        Ok((id, profile))
     }
 
-    /// Builds the K3s pod spec for a stream (extension knobs from profiled
-    /// units) along with the per-stage model profiles.
-    fn build_pod_spec(
-        &mut self,
-        spec: &StreamSpec,
-    ) -> Result<(PodSpec, Vec<Arc<ModelProfile>>), DeployError> {
-        let mut profiles = Vec::with_capacity(spec.stages.len());
-        let mut model_ext = Vec::with_capacity(spec.stages.len());
-        let mut units_ext = Vec::with_capacity(spec.stages.len());
+    /// Builds the K3s pod spec for a stream and its typed per-stage TPU
+    /// requests (profiled units unless the spec sets them), along with the
+    /// per-stage model profiles. The pod spec carries no extensions: the
+    /// requests go to the scheduler as they are.
+    fn build_pod_spec(&mut self, spec: &StreamSpec) -> Result<PodRequest, DeployError> {
+        let mut requests = Inline::default();
+        let mut profiles = Inline::default();
         for stage in &spec.stages {
-            let profile = self.intern_profile(&stage.model)?;
+            let (model, profile) = self.intern_profile(&stage.model)?;
             let units = stage
                 .units
                 .unwrap_or_else(|| self.dp.profiled_units(&profile, spec.fps));
-            model_ext.push(stage.model.as_str().to_owned());
-            units_ext.push(format!("{}", units.as_f64()));
+            requests.push(TpuRequest::new(model, units));
             profiles.push(profile);
         }
-        let pod_spec = PodSpec::builder(&spec.name, "microedge-camera:latest")
+        let pod_spec = PodSpec::builder(Arc::clone(&spec.name), Arc::clone(&self.image))
             .resources(ResourceRequest::camera_default())
-            .extension(EXT_MODEL, &model_ext.join(","))
-            .extension(EXT_TPU_UNITS, &units_ext.join(","))
             .build();
-        Ok((pod_spec, profiles))
+        Ok((pod_spec, requests, profiles))
     }
 
     fn admit_with_root(
         &mut self,
-        spec: StreamSpec,
+        mut spec: StreamSpec,
         root: Option<StreamId>,
     ) -> Result<StreamId, DeployError> {
-        let (pod_spec, profiles) = self.build_pod_spec(&spec)?;
-        let deployment = self.sched.deploy(&mut self.orch, pod_spec)?;
+        let (pod_spec, requests, profiles) = self.build_pod_spec(&spec)?;
+        let deployment = self
+            .sched
+            .deploy_requests(&mut self.orch, pod_spec, &requests, 1)?;
+        // The stored spec shares the interned ids; its own copies free.
+        for (stage, request) in spec.stages.iter_mut().zip(&requests) {
+            stage.model = request.model().clone();
+        }
         let stages: Inline<StageRuntime> = deployment
             .stages()
             .iter()
-            .zip(profiles)
+            .zip(profiles.iter())
             .map(|(grant, profile)| StageRuntime {
                 transfer: self.net.transfer_time(profile.input_bytes()),
-                profile,
+                profile: Arc::clone(profile),
                 lbs: grant.lbs(),
             })
             .collect();
@@ -1262,7 +1294,7 @@ impl World {
             emission_alive: true,
             pending_swap: None,
         };
-        self.pods_to_streams.insert(deployment.pod(), id);
+        self.map_pod(deployment.pod(), id);
         self.streams.push(runtime);
         self.active_count += 1;
         self.served.add(now, 1.0);
@@ -1363,8 +1395,8 @@ impl World {
     /// reloads the affected devices.
     fn apply_plans(&mut self, stream_id: StreamId, plans: &[crate::scheduler::StagePlacement]) {
         self.reseed_lbs(stream_id, plans);
-        for (_, allocations) in plans {
-            for alloc in allocations {
+        for stage in plans {
+            for alloc in stage.allocations() {
                 self.sync_device(alloc.tpu());
             }
         }
@@ -1373,8 +1405,8 @@ impl World {
     /// Re-seeds a stream's per-stage load balancers from new placements.
     fn reseed_lbs(&mut self, stream_id: StreamId, plans: &[crate::scheduler::StagePlacement]) {
         if let Some(stream) = self.stream_mut(stream_id) {
-            for (stage, (_, allocations)) in stream.stages.iter_mut().zip(plans) {
-                stage.lbs = LbService::from_allocations(allocations);
+            for (stage, plan) in stream.stages.iter_mut().zip(plans) {
+                stage.lbs = LbService::from_allocations(plan.allocations());
             }
         }
     }
@@ -1439,10 +1471,12 @@ impl World {
         for mv in &moves {
             touched.insert(mv.plan.donor);
             for pod_move in &mv.plan.moves {
-                let sid = self.pods_to_streams[&pod_move.pod];
+                let Some(sid) = self.stream_of_pod(pod_move.pod) else {
+                    continue;
+                };
                 self.reseed_lbs(sid, &pod_move.plans);
-                for (_, allocations) in &pod_move.plans {
-                    touched.extend(allocations.iter().map(|alloc| alloc.tpu()));
+                for stage in &pod_move.plans {
+                    touched.extend(stage.allocations().iter().map(|alloc| alloc.tpu()));
                 }
                 if mv.cost > SimDuration::ZERO {
                     self.guard_migration(sid, mv.cost);
@@ -1509,12 +1543,15 @@ impl World {
         self.kill_tpu_data_plane(now, tpu);
         let outcome = self.sched.handle_tpu_failure(tpu);
         for recovered in &outcome.recovered {
-            let stream_id = self.pods_to_streams[&recovered.pod];
-            self.apply_plans(stream_id, &recovered.plans);
+            if let Some(stream_id) = self.stream_of_pod(recovered.pod) {
+                self.apply_plans(stream_id, &recovered.plans);
+            }
         }
         let mut lost_streams = Vec::new();
         for pod in outcome.lost {
-            let stream_id = self.pods_to_streams[&pod];
+            let Some(stream_id) = self.stream_of_pod(pod) else {
+                continue;
+            };
             self.transition(stream_id, StreamPhase::Lost, now);
             lost_streams.push(stream_id);
         }
@@ -1544,7 +1581,7 @@ impl World {
         // Pods hosted on the node terminate; their streams stop emitting.
         let displaced = self.orch.fail_node(node);
         for pod in displaced {
-            if let Some(&stream_id) = self.pods_to_streams.get(&pod) {
+            if let Some(stream_id) = self.stream_of_pod(pod) {
                 if self.transition(stream_id, StreamPhase::Lost, now) {
                     stopped.push(stream_id);
                 }
@@ -1580,7 +1617,9 @@ impl World {
         let migrated = self.sched.drain_tpu(tpu)?;
         let mut streams = Vec::with_capacity(migrated.len());
         for (pod, plans) in &migrated {
-            let stream_id = self.pods_to_streams[pod];
+            let Some(stream_id) = self.stream_of_pod(*pod) else {
+                continue;
+            };
             self.apply_plans(stream_id, plans);
             streams.push(stream_id);
         }
@@ -1888,14 +1927,9 @@ impl World {
         }
         // Streams whose application container lives on the dead /
         // partitioned node stop making progress too.
-        for (&pod, &sid) in &self.pods_to_streams {
-            if self.orch.node_of(pod) == Some(node)
-                && self
-                    .streams
-                    .get(sid.index())
-                    .is_some_and(|s| s.phase.is_live())
-            {
-                victims.push(sid);
+        for (i, s) in self.streams.iter().enumerate() {
+            if s.phase.is_live() && self.orch.node_of(s.pod) == Some(node) {
+                victims.push(StreamId::from_index(i));
             }
         }
         victims.sort_unstable();
@@ -1997,22 +2031,26 @@ impl World {
         if heal {
             let outcome = self.sched.handle_tpu_failure(tpu);
             for rec in &outcome.recovered {
-                let sid = self.pods_to_streams[&rec.pod];
+                let Some(sid) = self.stream_of_pod(rec.pod) else {
+                    continue;
+                };
                 self.apply_plans(sid, &rec.plans);
                 let stages = rec.plans.len();
                 self.schedule_swap_in(sid, fault_at, now, rec.swap_bytes, stages, false);
             }
             for pod in outcome.lost {
-                let sid = self.pods_to_streams[&pod];
                 let _ = self.orch.delete_pod(pod);
-                self.park_stream(now, sid, fault_at, now);
+                if let Some(sid) = self.stream_of_pod(pod) {
+                    self.park_stream(now, sid, fault_at, now);
+                }
             }
             self.nudge_reconciler(now);
         } else {
             for pod in self.sched.fail_tpu_releasing(tpu) {
-                let sid = self.pods_to_streams[&pod];
                 let _ = self.orch.delete_pod(pod);
-                self.transition(sid, StreamPhase::Lost, now);
+                if let Some(sid) = self.stream_of_pod(pod) {
+                    self.transition(sid, StreamPhase::Lost, now);
+                }
             }
         }
     }
@@ -2029,7 +2067,7 @@ impl World {
         // pending-restart queue.
         let hosted: Vec<StreamId> = displaced
             .iter()
-            .filter_map(|p| self.pods_to_streams.get(p).copied())
+            .filter_map(|&p| self.stream_of_pod(p))
             .filter(|sid| {
                 self.streams
                     .get(sid.index())
@@ -2302,10 +2340,13 @@ impl World {
         spec: &StreamSpec,
         den: u32,
     ) -> bool {
-        let Ok((pod_spec, _)) = self.build_pod_spec(spec) else {
+        let Ok((pod_spec, requests, _)) = self.build_pod_spec(spec) else {
             return false;
         };
-        match self.sched.deploy_scaled(&mut self.orch, pod_spec, den) {
+        match self
+            .sched
+            .deploy_requests(&mut self.orch, pod_spec, &requests, den)
+        {
             Ok(deployment) => {
                 self.wire_readmitted(sid, entry, den, &deployment);
                 true
@@ -2333,7 +2374,6 @@ impl World {
         }
         let swap_bytes = per_tpu.values().copied().max().unwrap_or(0);
         let stages = deployment.stages().len();
-        let old_pod = self.streams[sid.index()].pod;
         {
             let s = &mut self.streams[sid.index()];
             s.pod = pod;
@@ -2342,8 +2382,7 @@ impl World {
                 stage.lbs = grant.lbs();
             }
         }
-        self.pods_to_streams.remove(&old_pod);
-        self.pods_to_streams.insert(pod, sid);
+        self.map_pod(pod, sid);
         for grant in deployment.stages() {
             for alloc in grant.allocations() {
                 self.sync_device(alloc.tpu());
@@ -3074,7 +3113,7 @@ mod tests {
     fn stream_spec_accessors() {
         let s = StreamSpec::builder("cam", "unet-v2").fps(10.0).build();
         assert_eq!(s.name(), "cam");
-        assert_eq!(s.model().as_str(), "unet-v2");
+        assert_eq!(s.model().unwrap().as_str(), "unet-v2");
         assert_eq!(s.fps(), 10.0);
         assert_eq!(StreamId(3).to_string(), "stream-3");
     }
@@ -3086,6 +3125,21 @@ mod tests {
             .admit_stream(StreamSpec::builder("x", "nope").build())
             .unwrap_err();
         assert!(matches!(err, DeployError::UnknownModel(_)));
+    }
+
+    #[test]
+    fn zero_units_rejected_at_admission() {
+        let mut w = world(1, Features::all());
+        let spec = StreamSpec::builder("x", "ssd-mobilenet-v2")
+            .units(TpuUnits::ZERO)
+            .build();
+        let err = w.admit_stream(spec).unwrap_err();
+        assert!(
+            matches!(&err, DeployError::MalformedRequest(msg) if msg.contains("positive")),
+            "{err}"
+        );
+        assert_eq!(w.active_streams(), 0);
+        assert!(w.orchestrator().running_pods().is_empty());
     }
 
     // --- multi-model pipelines (paper §8 extension) ---

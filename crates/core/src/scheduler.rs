@@ -13,6 +13,11 @@
 //! 5. the reclamation component later returns the TPU units when the pod
 //!    terminates, dropping model references for lazy eviction.
 //!
+//! [`ExtendedScheduler::deploy`] parses the two knobs once, at this client
+//! boundary, into typed [`TpuRequest`]s. Callers that already hold typed
+//! requests (the simulated [`World`](crate::runtime::World)) skip the text
+//! and call [`ExtendedScheduler::deploy_requests`].
+//!
 //! Admission is a **one-time action**: the data plane never consults the
 //! control plane again for the lifetime of the pod.
 //!
@@ -41,6 +46,7 @@ use microedge_models::catalog::Catalog;
 use microedge_models::profile::ModelId;
 use microedge_orch::lifecycle::{OrchError, Orchestrator};
 use microedge_orch::pod::{PodId, PodPhase, PodSpec, EXT_MODEL, EXT_TPU_UNITS};
+use microedge_sim::inline::Inline;
 use microedge_tpu::device::TpuId;
 use microedge_tpu::spec::TpuSpec;
 
@@ -50,8 +56,9 @@ use crate::lbs::LbService;
 use crate::pool::{Allocation, TpuPool};
 use crate::units::TpuUnits;
 
-/// One stage of a pod's TPU request, parsed from the spec's extension
-/// fields.
+/// One stage of a pod's TPU request: parsed from a Yaml spec's extension
+/// fields by [`TpuRequest::from_spec`], or built typed with
+/// [`TpuRequest::new`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TpuRequest {
     model: ModelId,
@@ -184,14 +191,42 @@ impl From<OrchError> for DeployError {
     }
 }
 
-/// One pipeline stage's placement: the model and its TPU allocations.
-pub type StagePlacement = (ModelId, Vec<Allocation>);
+/// One pipeline stage of a pod's TPU assignment: the model, its full-rate
+/// demand and the allocations it holds at the pod's current degradation
+/// denominator. A one-TPU stage keeps its allocation inline, so a
+/// single-stage, single-TPU pod's record needs no heap memory of its own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StagePlacement {
+    model: ModelId,
+    full_units: TpuUnits,
+    allocations: Inline<Allocation>,
+}
+
+impl StagePlacement {
+    /// The stage's model.
+    #[must_use]
+    pub fn model(&self) -> &ModelId {
+        &self.model
+    }
+
+    /// The stage's full-rate demand, before any degradation scaling.
+    #[must_use]
+    pub fn full_units(&self) -> TpuUnits {
+        self.full_units
+    }
+
+    /// The stage's TPU allocations.
+    #[must_use]
+    pub fn allocations(&self) -> &[Allocation] {
+        &self.allocations
+    }
+}
 
 /// The TPU resources granted to one pipeline stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageGrant {
     model: ModelId,
-    allocations: Vec<Allocation>,
+    allocations: Inline<Allocation>,
     newly_loaded: Vec<TpuId>,
 }
 
@@ -230,7 +265,7 @@ impl StageGrant {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Deployment {
     pod: PodId,
-    stages: Vec<StageGrant>,
+    stages: Inline<StageGrant>,
     control_rpcs: u32,
 }
 
@@ -298,19 +333,17 @@ impl Deployment {
 
 #[derive(Debug, Clone)]
 struct PodAssignment {
-    entries: Vec<StagePlacement>,
-    /// Full-rate per-stage demand, before any degradation scaling.
-    full: Vec<(ModelId, TpuUnits)>,
+    stages: Inline<StagePlacement>,
     /// Current degradation denominator (1 = full rate).
     den: u32,
 }
 
 impl PodAssignment {
-    /// Requests reproducing the pod's demand at denominator `den`.
-    fn requests_at(&self, den: u32) -> Vec<TpuRequest> {
-        self.full
+    /// The pod's full-rate requests, one per stage.
+    fn requests(&self) -> Inline<TpuRequest> {
+        self.stages
             .iter()
-            .map(|(model, units)| TpuRequest::new(model.clone(), scale_units(*units, den)))
+            .map(|s| TpuRequest::new(s.model.clone(), s.full_units))
             .collect()
     }
 }
@@ -399,15 +432,20 @@ impl ExtendedScheduler {
         self.dp
     }
 
-    /// Plans every stage against a scratch copy of the pool, committing
-    /// stage-by-stage so later stages see earlier grants. Returns the
-    /// per-stage plans without touching real state.
+    /// Plans every stage at `1/den` of its full-rate demand against a
+    /// scratch copy of the pool, committing stage-by-stage so later stages
+    /// see earlier grants. Returns the per-stage plans without touching
+    /// real state.
     ///
     /// Single-stage requests — every plain camera pod — plan directly
     /// against the live pool: planning never mutates it, so no scratch is
     /// needed, and cloning a multi-thousand-TPU pool per admission is what
     /// dominated large fleet sweeps.
-    fn plan_stages(&mut self, requests: &[TpuRequest]) -> Result<Vec<StagePlacement>, DeployError> {
+    fn plan_stages(
+        &mut self,
+        requests: &[TpuRequest],
+        den: u32,
+    ) -> Result<Inline<StagePlacement>, DeployError> {
         if let [request] = requests {
             let profile = self
                 .catalog
@@ -416,43 +454,65 @@ impl ExtendedScheduler {
             if !self.policy.plan_into(
                 &self.pool,
                 profile,
-                request.units(),
+                scale_units(request.units(), den),
                 self.features,
                 &mut self.plan_buffer,
             ) {
                 return Err(DeployError::InsufficientTpu);
             }
-            return Ok(vec![(
-                request.model().clone(),
-                self.plan_buffer.allocations().to_vec(),
-            )]);
+            return Ok(Inline::One([StagePlacement {
+                model: request.model().clone(),
+                full_units: request.units(),
+                allocations: self.plan_buffer.allocations().iter().copied().collect(),
+            }]));
         }
         let mut scratch = self.pool.clone();
-        let mut plans = Vec::with_capacity(requests.len());
+        let mut plans = Inline::default();
         for request in requests {
             let profile = self
                 .catalog
                 .get(request.model())
-                .ok_or_else(|| DeployError::UnknownModel(request.model().clone()))?
-                .clone();
+                .ok_or_else(|| DeployError::UnknownModel(request.model().clone()))?;
             if !self.policy.plan_into(
                 &scratch,
-                &profile,
-                request.units(),
+                profile,
+                scale_units(request.units(), den),
                 self.features,
                 &mut self.plan_buffer,
             ) {
                 return Err(DeployError::InsufficientTpu);
             }
-            let allocations = self.plan_buffer.allocations().to_vec();
-            scratch.commit(&profile, &allocations);
-            plans.push((request.model().clone(), allocations));
+            let allocations: Inline<Allocation> =
+                self.plan_buffer.allocations().iter().copied().collect();
+            scratch.commit(profile, &allocations);
+            plans.push(StagePlacement {
+                model: request.model().clone(),
+                full_units: request.units(),
+                allocations,
+            });
         }
         Ok(plans)
     }
 
-    /// Deploys an application pod: TPU admission first (all stages, with
-    /// rollback), then the K3s bind.
+    /// Commits planned stages to the pool.
+    fn commit_plans(&mut self, plans: &[StagePlacement]) {
+        for stage in plans {
+            self.pool
+                .commit(self.catalog.expect(&stage.model), &stage.allocations);
+        }
+    }
+
+    /// Returns every stage's allocations to the pool.
+    fn release_plans(&mut self, plans: &[StagePlacement]) {
+        for stage in plans {
+            self.pool.release(&stage.model, &stage.allocations);
+        }
+    }
+
+    /// Deploys an application pod from its Yaml spec: the `Model` and
+    /// `TPU Units` extensions are parsed into typed requests (see
+    /// [`TpuRequest::from_spec`]), then admitted by
+    /// [`ExtendedScheduler::deploy_requests`] at full rate.
     ///
     /// # Errors
     ///
@@ -463,72 +523,72 @@ impl ExtendedScheduler {
         orch: &mut Orchestrator,
         spec: PodSpec,
     ) -> Result<Deployment, DeployError> {
-        self.deploy_scaled(orch, spec, 1)
+        let requests = TpuRequest::from_spec(&spec)?;
+        self.deploy_requests(orch, spec, &requests, 1)
     }
 
-    /// Deploys like [`ExtendedScheduler::deploy`], but admits every stage at
-    /// `1/den` of its declared TPU demand — the graceful-degradation entry
-    /// point. The full-rate demand is remembered so the pod can later be
-    /// [rescaled](ExtendedScheduler::rescale) back up (or further down).
+    /// Deploys a pod whose TPU stages are already typed: TPU admission
+    /// first (all stages, with rollback), then the K3s bind. The spec's
+    /// extensions are not read. Every stage is admitted at `1/den` of its
+    /// declared demand (`den` 1 is full rate; larger values are the
+    /// graceful-degradation tiers). The full-rate demand is remembered so
+    /// the pod can later be [rescaled](ExtendedScheduler::rescale) back up
+    /// (or further down). An empty request list takes the native K3s path.
     ///
     /// # Errors
     ///
-    /// See [`DeployError`]; on any error no state is changed.
-    pub fn deploy_scaled(
+    /// [`DeployError::MalformedRequest`] for a stage of zero units, and
+    /// otherwise see [`DeployError`]; on any error no state is changed.
+    pub fn deploy_requests(
         &mut self,
         orch: &mut Orchestrator,
         spec: PodSpec,
+        requests: &[TpuRequest],
         den: u32,
     ) -> Result<Deployment, DeployError> {
-        let full_requests = TpuRequest::from_spec(&spec)?;
-        if full_requests.is_empty() {
+        if let Some(zero) = requests.iter().find(|r| r.units().is_zero()) {
+            return Err(DeployError::MalformedRequest(format!(
+                "tpu-units must be positive, got {}",
+                zero.units().as_f64()
+            )));
+        }
+        if requests.is_empty() {
             // No TPU needs — the native K3s path.
             let pod = orch.create_pod(spec)?;
             return Ok(Deployment {
                 pod,
-                stages: Vec::new(),
+                stages: Inline::default(),
                 control_rpcs: 0,
             });
         }
-        let full: Vec<(ModelId, TpuUnits)> = full_requests
-            .iter()
-            .map(|r| (r.model().clone(), r.units()))
-            .collect();
-        let requests: Vec<TpuRequest> = full_requests
-            .iter()
-            .map(|r| TpuRequest::new(r.model().clone(), scale_units(r.units(), den)))
-            .collect();
-        let plans = self.plan_stages(&requests)?;
+        let plans = self.plan_stages(requests, den)?;
 
         // Bind through K3s before committing TPU state, so an orchestration
         // failure leaves the pool untouched.
         let pod = orch.create_pod(spec)?;
-        let mut stages = Vec::with_capacity(plans.len());
         let mut load_rpcs = 0;
-        for (model, allocations) in &plans {
-            let profile = self.catalog.expect(model).clone();
-            let newly_loaded = self.pool.commit(&profile, allocations);
-            load_rpcs += u32::try_from(newly_loaded.len()).expect("loaded-model count fits u32");
-            stages.push(StageGrant {
-                model: model.clone(),
-                allocations: allocations.clone(),
-                newly_loaded,
-            });
-        }
-        self.assignments.insert(
-            pod,
-            PodAssignment {
-                entries: plans,
-                full,
-                den,
-            },
-        );
+        let stages = plans
+            .iter()
+            .map(|stage| {
+                let newly_loaded = self
+                    .pool
+                    .commit(self.catalog.expect(&stage.model), &stage.allocations);
+                load_rpcs += newly_loaded.len();
+                StageGrant {
+                    model: stage.model.clone(),
+                    allocations: stage.allocations.clone(),
+                    newly_loaded,
+                }
+            })
+            .collect();
+        self.assignments
+            .insert(pod, PodAssignment { stages: plans, den });
         Ok(Deployment {
             pod,
             stages,
             // One Load RPC per newly loaded model instance, plus one LBS
             // configuration push for the pod.
-            control_rpcs: load_rpcs + 1,
+            control_rpcs: u32::try_from(load_rpcs).expect("loaded-model count fits u32") + 1,
         })
     }
 
@@ -571,9 +631,9 @@ impl ExtendedScheduler {
     #[must_use]
     pub fn assignment(&self, pod: PodId) -> Option<Vec<Allocation>> {
         self.assignments.get(&pod).map(|a| {
-            a.entries
+            a.stages
                 .iter()
-                .flat_map(|(_, allocs)| allocs.iter().copied())
+                .flat_map(|s| s.allocations.iter().copied())
                 .collect()
         })
     }
@@ -581,7 +641,7 @@ impl ExtendedScheduler {
     /// Per-stage assignment of `pod`, if any.
     #[must_use]
     pub fn stage_assignment(&self, pod: PodId) -> Option<&[StagePlacement]> {
-        self.assignments.get(&pod).map(|a| a.entries.as_slice())
+        self.assignments.get(&pod).map(|a| &a.stages[..])
     }
 
     /// Fails a TPU and re-admits every pod that was using it, in pod order.
@@ -603,22 +663,18 @@ impl ExtendedScheduler {
         let mut recovered = Vec::new();
         let mut lost = Vec::new();
         for pod in affected {
-            let assignment = self
-                .assignments
-                .remove(&pod)
-                .expect("affected pod has an assignment");
-            for (model, allocs) in &assignment.entries {
-                self.pool.release(model, allocs);
-            }
-            let requests = assignment.requests_at(assignment.den);
-            match self.plan_stages(&requests) {
+            let Some(assignment) = self.assignments.remove(&pod) else {
+                continue;
+            };
+            self.release_plans(&assignment.stages);
+            match self.plan_stages(&assignment.requests(), assignment.den) {
                 Ok(plans) => {
                     // Model loads on distinct TPUs proceed in parallel; the
                     // swap-in latency is bounded by the busiest device.
                     let mut per_tpu: BTreeMap<TpuId, u64> = BTreeMap::new();
-                    for (model, allocs) in &plans {
-                        let profile = self.catalog.expect(model).clone();
-                        for loaded in self.pool.commit(&profile, allocs) {
+                    for stage in &plans {
+                        let profile = self.catalog.expect(&stage.model);
+                        for loaded in self.pool.commit(profile, &stage.allocations) {
                             *per_tpu.entry(loaded).or_insert(0) += profile.param_bytes();
                         }
                     }
@@ -626,8 +682,7 @@ impl ExtendedScheduler {
                     self.assignments.insert(
                         pod,
                         PodAssignment {
-                            entries: plans.clone(),
-                            full: assignment.full,
+                            stages: plans.clone(),
                             den: assignment.den,
                         },
                     );
@@ -676,26 +731,19 @@ impl ExtendedScheduler {
         &mut self,
         pod: PodId,
         new_den: u32,
-    ) -> Result<Vec<StagePlacement>, DeployError> {
+    ) -> Result<Inline<StagePlacement>, DeployError> {
         let assignment = self
             .assignments
             .remove(&pod)
             .ok_or(DeployError::Orch(OrchError::UnknownPod(pod)))?;
-        for (model, allocs) in &assignment.entries {
-            self.pool.release(model, allocs);
-        }
-        let requests = assignment.requests_at(new_den);
-        match self.plan_stages(&requests) {
+        self.release_plans(&assignment.stages);
+        match self.plan_stages(&assignment.requests(), new_den) {
             Ok(plans) => {
-                for (model, allocs) in &plans {
-                    let profile = self.catalog.expect(model).clone();
-                    self.pool.commit(&profile, allocs);
-                }
+                self.commit_plans(&plans);
                 self.assignments.insert(
                     pod,
                     PodAssignment {
-                        entries: plans.clone(),
-                        full: assignment.full,
+                        stages: plans.clone(),
                         den: new_den,
                     },
                 );
@@ -703,10 +751,7 @@ impl ExtendedScheduler {
             }
             Err(e) => {
                 // Roll back: recommit the original allocations.
-                for (model, allocs) in &assignment.entries {
-                    let profile = self.catalog.expect(model).clone();
-                    self.pool.commit(&profile, allocs);
-                }
+                self.commit_plans(&assignment.stages);
                 self.assignments.insert(pod, assignment);
                 Err(e)
             }
@@ -726,30 +771,22 @@ impl ExtendedScheduler {
     pub fn drain_tpu(
         &mut self,
         tpu: TpuId,
-    ) -> Result<Vec<(PodId, Vec<StagePlacement>)>, DeployError> {
+    ) -> Result<Vec<(PodId, Inline<StagePlacement>)>, DeployError> {
         self.pool.fail(tpu);
         let affected = self.pods_using(tpu);
-        let mut migrated: Vec<(PodId, PodAssignment, Vec<StagePlacement>)> = Vec::new();
+        let mut migrated: Vec<(PodId, PodAssignment, Inline<StagePlacement>)> = Vec::new();
         for pod in affected {
-            let original = self
-                .assignments
-                .remove(&pod)
-                .expect("affected pod has an assignment");
-            for (model, allocs) in &original.entries {
-                self.pool.release(model, allocs);
-            }
-            let requests = original.requests_at(original.den);
-            match self.plan_stages(&requests) {
+            let Some(original) = self.assignments.remove(&pod) else {
+                continue;
+            };
+            self.release_plans(&original.stages);
+            match self.plan_stages(&original.requests(), original.den) {
                 Ok(plans) => {
-                    for (model, allocs) in &plans {
-                        let profile = self.catalog.expect(model).clone();
-                        self.pool.commit(&profile, allocs);
-                    }
+                    self.commit_plans(&plans);
                     self.assignments.insert(
                         pod,
                         PodAssignment {
-                            entries: plans.clone(),
-                            full: original.full.clone(),
+                            stages: plans.clone(),
                             den: original.den,
                         },
                     );
@@ -757,19 +794,11 @@ impl ExtendedScheduler {
                 }
                 Err(_) => {
                     // Abort: undo this pod and every earlier migration.
-                    for (model, allocs) in &original.entries {
-                        let profile = self.catalog.expect(model).clone();
-                        self.pool.commit(&profile, allocs);
-                    }
+                    self.commit_plans(&original.stages);
                     self.assignments.insert(pod, original);
-                    for (mig_pod, old_assignment, new_entries) in migrated.drain(..).rev() {
-                        for (model, allocs) in &new_entries {
-                            self.pool.release(model, allocs);
-                        }
-                        for (model, allocs) in &old_assignment.entries {
-                            let profile = self.catalog.expect(model).clone();
-                            self.pool.commit(&profile, allocs);
-                        }
+                    for (mig_pod, old_assignment, new_stages) in migrated.into_iter().rev() {
+                        self.release_plans(&new_stages);
+                        self.commit_plans(&old_assignment.stages);
                         self.assignments.insert(mig_pod, old_assignment);
                     }
                     self.pool.restore(tpu);
@@ -785,9 +814,7 @@ impl ExtendedScheduler {
 
     fn release_assignment(&mut self, pod: PodId) {
         if let Some(assignment) = self.assignments.remove(&pod) {
-            for (model, allocs) in &assignment.entries {
-                self.pool.release(model, allocs);
-            }
+            self.release_plans(&assignment.stages);
         }
     }
 
@@ -797,9 +824,9 @@ impl ExtendedScheduler {
         self.assignments
             .iter()
             .filter(|(_, a)| {
-                a.entries
+                a.stages
                     .iter()
-                    .any(|(_, allocs)| allocs.iter().any(|al| al.tpu() == tpu))
+                    .any(|s| s.allocations.iter().any(|al| al.tpu() == tpu))
             })
             .map(|(&pod, _)| pod)
             .collect()
@@ -834,34 +861,39 @@ impl ExtendedScheduler {
         let mut moves = Vec::new();
         let mut newly_loaded: BTreeMap<TpuId, u64> = BTreeMap::new();
         for pod in self.pods_using(tpu) {
-            let assignment = &self.assignments[&pod];
-            for (model, allocs) in &assignment.entries {
-                scratch.release(model, allocs);
+            let Some(assignment) = self.assignments.get(&pod) else {
+                continue;
+            };
+            for stage in &assignment.stages {
+                scratch.release(&stage.model, &stage.allocations);
             }
-            let requests = assignment.requests_at(assignment.den);
-            let mut plans = Vec::with_capacity(requests.len());
+            let mut plans = Inline::default();
             let mut per_tpu: BTreeMap<TpuId, u64> = BTreeMap::new();
-            for request in &requests {
+            for stage in &assignment.stages {
                 let profile = self
                     .catalog
-                    .get(request.model())
-                    .ok_or_else(|| DeployError::UnknownModel(request.model().clone()))?
-                    .clone();
+                    .get(&stage.model)
+                    .ok_or_else(|| DeployError::UnknownModel(stage.model.clone()))?;
                 if !policy.plan_into(
                     &scratch,
-                    &profile,
-                    request.units(),
+                    profile,
+                    scale_units(stage.full_units, assignment.den),
                     self.features,
                     &mut buffer,
                 ) {
                     return Err(DeployError::InsufficientTpu);
                 }
-                let allocations = buffer.allocations().to_vec();
-                for loaded in scratch.commit(&profile, &allocations) {
+                let allocations: Inline<Allocation> =
+                    buffer.allocations().iter().copied().collect();
+                for loaded in scratch.commit(profile, &allocations) {
                     *per_tpu.entry(loaded).or_insert(0) += profile.param_bytes();
                     *newly_loaded.entry(loaded).or_insert(0) += profile.param_bytes();
                 }
-                plans.push((request.model().clone(), allocations));
+                plans.push(StagePlacement {
+                    model: stage.model.clone(),
+                    full_units: stage.full_units,
+                    allocations,
+                });
             }
             // Loads on distinct TPUs proceed in parallel; this pod's swap-in
             // window is bounded by its busiest destination (the same
@@ -903,18 +935,12 @@ impl ExtendedScheduler {
                 .assignments
                 .remove(&mv.pod)
                 .expect("evicted pod holds an assignment");
-            for (model, allocs) in &old.entries {
-                self.pool.release(model, allocs);
-            }
-            for (model, allocs) in &mv.plans {
-                let profile = self.catalog.expect(model).clone();
-                self.pool.commit(&profile, allocs);
-            }
+            self.release_plans(&old.stages);
+            self.commit_plans(&mv.plans);
             self.assignments.insert(
                 mv.pod,
                 PodAssignment {
-                    entries: mv.plans.clone(),
-                    full: old.full,
+                    stages: mv.plans.clone(),
                     den: old.den,
                 },
             );
@@ -932,7 +958,7 @@ pub struct PodMove {
     /// The migrating pod.
     pub pod: PodId,
     /// Its new per-stage allocations (none on the donor).
-    pub plans: Vec<StagePlacement>,
+    pub plans: Inline<StagePlacement>,
     /// Model bytes that must be (re)loaded on this pod's busiest
     /// destination TPU — the swap-in component of its migration window.
     /// Zero when every destination already had the models resident.
@@ -968,7 +994,7 @@ pub struct RecoveredPod {
     /// The surviving pod.
     pub pod: PodId,
     /// Its new per-stage allocations.
-    pub plans: Vec<StagePlacement>,
+    pub plans: Inline<StagePlacement>,
     /// Model bytes that must be (re)loaded on the busiest destination TPU
     /// before the pod serves again — the swap-in component of recovery
     /// latency. Zero when every destination already had the models
@@ -1015,6 +1041,19 @@ mod tests {
             .extension(EXT_MODEL, "ssd-mobilenet-v2")
             .extension(EXT_TPU_UNITS, "0.35")
             .build()
+    }
+
+    /// Deploys a coral-pie pod through the typed entry point at `1/den` of
+    /// its demand.
+    fn deploy_coral_pie_at(
+        orch: &mut Orchestrator,
+        sched: &mut ExtendedScheduler,
+        name: &str,
+        den: u32,
+    ) -> Deployment {
+        let request = TpuRequest::new(ModelId::new("ssd-mobilenet-v2"), TpuUnits::from_f64(0.35));
+        let spec = PodSpec::builder(name, "coral-pie:latest").build();
+        sched.deploy_requests(orch, spec, &[request], den).unwrap()
     }
 
     #[test]
@@ -1210,7 +1249,7 @@ mod tests {
             recovered.swap_bytes > 0,
             "the model must be loaded on the fresh TPU"
         );
-        let new_allocs = &recovered.plans[0].1;
+        let new_allocs = recovered.plans[0].allocations();
         assert_ne!(new_allocs[0].tpu(), original_tpu);
         assert_eq!(
             sched.pool().account(new_allocs[0].tpu()).load(),
@@ -1229,11 +1268,9 @@ mod tests {
     }
 
     #[test]
-    fn deploy_scaled_halves_demand_and_rescale_restores_it() {
+    fn scaled_deploy_halves_demand_and_rescale_restores_it() {
         let (mut orch, mut sched) = setup(1, 2, Features::all());
-        let d = sched
-            .deploy_scaled(&mut orch, coral_pie_spec("a"), 2)
-            .unwrap();
+        let d = deploy_coral_pie_at(&mut orch, &mut sched, "a", 2);
         assert_eq!(
             assigned_units(&sched, d.pod()),
             TpuUnits::from_micro(175_000)
@@ -1245,16 +1282,14 @@ mod tests {
         );
         let plans = sched.rescale(d.pod(), 1).unwrap();
         assert_eq!(assigned_units(&sched, d.pod()), TpuUnits::from_f64(0.35));
-        let total: TpuUnits = plans[0].1.iter().map(Allocation::units).sum();
+        let total: TpuUnits = plans[0].allocations().iter().map(Allocation::units).sum();
         assert_eq!(total, TpuUnits::from_f64(0.35));
     }
 
     #[test]
     fn rescale_rolls_back_when_the_new_scale_does_not_fit() {
         let (mut orch, mut sched) = setup(1, 2, Features::all());
-        let a = sched
-            .deploy_scaled(&mut orch, coral_pie_spec("a"), 2)
-            .unwrap();
+        let a = deploy_coral_pie_at(&mut orch, &mut sched, "a", 2);
         // Fill the remainder so upscaling `a` cannot fit.
         sched.deploy(&mut orch, coral_pie_spec("b")).unwrap();
         sched.deploy(&mut orch, coral_pie_spec("c")).unwrap();
@@ -1293,9 +1328,7 @@ mod tests {
     #[test]
     fn recovery_preserves_degradation_denominator() {
         let (mut orch, mut sched) = setup(2, 2, Features::all());
-        let d = sched
-            .deploy_scaled(&mut orch, coral_pie_spec("a"), 2)
-            .unwrap();
+        let d = deploy_coral_pie_at(&mut orch, &mut sched, "a", 2);
         let tpu = d.allocations()[0].tpu();
         let outcome = sched.handle_tpu_failure(tpu);
         assert_eq!(outcome.recovered.len(), 1);
@@ -1304,7 +1337,7 @@ mod tests {
             TpuUnits::from_micro(175_000)
         );
         let total: TpuUnits = outcome.recovered[0].plans[0]
-            .1
+            .allocations()
             .iter()
             .map(Allocation::units)
             .sum();
@@ -1379,7 +1412,7 @@ mod tests {
         // Pods still running, all load on the other TPU.
         assert_eq!(orch.running_pods().len(), 2);
         assert_eq!(sched.pool().account(source).load(), TpuUnits::ZERO);
-        let other = migrated[0].1[0].1[0].tpu();
+        let other = migrated[0].1[0].allocations()[0].tpu();
         assert_ne!(other, source);
         assert_eq!(sched.pool().account(other).load(), TpuUnits::from_f64(0.7));
     }

@@ -9,6 +9,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use microedge_cluster::node::NodeId;
 use microedge_cluster::topology::Cluster;
@@ -84,8 +85,9 @@ pub struct Orchestrator {
     /// Names of running pods, kept in lockstep with `pods` so the
     /// uniqueness check on creation is an index probe instead of a scan of
     /// every record ever created — the scan was quadratic over a
-    /// 100k-stream admission sweep.
-    live_names: BTreeSet<String>,
+    /// 100k-stream admission sweep. Entries share the specs' name
+    /// allocations.
+    live_names: BTreeSet<Arc<str>>,
 }
 
 impl Orchestrator {
@@ -266,7 +268,7 @@ impl Orchestrator {
 
     fn bind(&mut self, spec: PodSpec, node: NodeId) -> PodId {
         let id = PodId(u64::try_from(self.pods.len()).expect("pod count fits u64"));
-        self.live_names.insert(spec.name().to_owned());
+        self.live_names.insert(Arc::clone(spec.shared_name()));
         self.state.bind(id, &spec, node);
         self.pods.push(PodRecord {
             spec,

@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -97,8 +98,11 @@ impl ResourceRequest {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PodSpec {
-    name: String,
-    image: String,
+    /// Shared, not copied: a caller that already holds the name (a camera
+    /// stream's record) and the orchestrator's live-name index point at
+    /// one allocation.
+    name: Arc<str>,
+    image: Arc<str>,
     resources: ResourceRequest,
     node_selector: BTreeMap<String, String>,
     anti_affinity_group: Option<String>,
@@ -109,11 +113,12 @@ pub struct PodSpec {
 
 impl PodSpec {
     /// Starts building a spec for the given pod name and container image.
+    /// Pass an `Arc<str>` to share a string the caller already holds.
     #[must_use]
-    pub fn builder(name: &str, image: &str) -> PodSpecBuilder {
+    pub fn builder(name: impl Into<Arc<str>>, image: impl Into<Arc<str>>) -> PodSpecBuilder {
         PodSpecBuilder {
-            name: name.to_owned(),
-            image: image.to_owned(),
+            name: name.into(),
+            image: image.into(),
             resources: ResourceRequest::camera_default(),
             node_selector: BTreeMap::new(),
             anti_affinity_group: None,
@@ -124,6 +129,11 @@ impl PodSpec {
     /// Pod name (unique among live pods).
     #[must_use]
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The pod name's shared allocation.
+    pub(crate) fn shared_name(&self) -> &Arc<str> {
         &self.name
     }
 
@@ -171,8 +181,8 @@ impl PodSpec {
 /// Builder for [`PodSpec`].
 #[derive(Debug, Clone)]
 pub struct PodSpecBuilder {
-    name: String,
-    image: String,
+    name: Arc<str>,
+    image: Arc<str>,
     resources: ResourceRequest,
     node_selector: BTreeMap<String, String>,
     anti_affinity_group: Option<String>,

@@ -235,7 +235,7 @@ pub fn parse_pod_spec(text: &str) -> Result<PodSpec, ParseSpecError> {
         memory.unwrap_or_else(|| defaults.mem_bytes()),
     );
 
-    let mut builder: PodSpecBuilder = PodSpec::builder(&name, &image).resources(resources);
+    let mut builder: PodSpecBuilder = PodSpec::builder(name, image).resources(resources);
     if let Some(group) = anti_affinity {
         builder = builder.anti_affinity_group(&group);
     }

@@ -39,6 +39,19 @@ pub enum Inline<T> {
 }
 
 impl<T> Inline<T> {
+    /// Appends `value`. An empty list takes it inline; a one-element list
+    /// moves to the heap.
+    pub fn push(&mut self, value: T) {
+        *self = match std::mem::take(self) {
+            Inline::One([first]) => Inline::Many(vec![first, value]),
+            Inline::Many(v) if v.is_empty() => Inline::One([value]),
+            Inline::Many(mut v) => {
+                v.push(value);
+                Inline::Many(v)
+            }
+        };
+    }
+
     /// Keeps only the elements for which `keep` returns `true`, in order.
     /// A list left with one element moves it inline.
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
@@ -84,6 +97,24 @@ impl<T> DerefMut for Inline<T> {
     }
 }
 
+impl<'a, T> IntoIterator for &'a Inline<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<'a, T> IntoIterator for &'a mut Inline<T> {
+    type Item = &'a mut T;
+    type IntoIter = std::slice::IterMut<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
+}
+
 impl<T> FromIterator<T> for Inline<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut iter = iter.into_iter();
@@ -126,6 +157,17 @@ mod tests {
         let many: Inline<u8> = (1..=4).collect();
         assert!(matches!(&many, Inline::Many(v) if v == &[1, 2, 3, 4]));
         assert_eq!(&many[..], &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn push_keeps_the_canonical_representation() {
+        let mut l: Inline<u8> = Inline::default();
+        l.push(1);
+        assert!(matches!(l, Inline::One([1])));
+        l.push(2);
+        assert!(matches!(&l, Inline::Many(v) if v == &[1, 2]));
+        l.push(3);
+        assert_eq!(&l[..], &[1, 2, 3]);
     }
 
     #[test]

@@ -116,7 +116,7 @@ mod tests {
     fn instance_carries_app_parameters() {
         let app = CameraApp::bodypix();
         let spec = camera_instance(&app, "seg-0", 50, SimDuration::ZERO, true);
-        assert_eq!(spec.model().as_str(), "bodypix-mobilenet-v1");
+        assert_eq!(spec.model().unwrap().as_str(), "bodypix-mobilenet-v1");
         assert_eq!(spec.fps(), 15.0);
     }
 

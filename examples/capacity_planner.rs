@@ -34,7 +34,7 @@ fn mix_fits(mix: &[(CameraApp, u32)], tpus: u32, dedicated: bool) -> bool {
     };
     for (app, count) in mix {
         for i in 0..*count {
-            let spec = PodSpec::builder(&format!("{}-{i}", app.name()), "camera:latest")
+            let spec = PodSpec::builder(format!("{}-{i}", app.name()), "camera:latest")
                 .extension(EXT_MODEL, app.model().as_str())
                 .extension(EXT_TPU_UNITS, &format!("{}", app.units().as_f64()))
                 .build();

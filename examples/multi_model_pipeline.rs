@@ -37,8 +37,9 @@ fn main() {
         .scheduler()
         .stage_assignment(pod)
         .expect("a deployed pipeline pod has per-stage grants");
-    for (model, allocations) in stage_assignment {
-        for alloc in allocations {
+    for stage in stage_assignment {
+        for alloc in stage.allocations() {
+            let model = stage.model();
             println!("  {model:>12} → {} ({})", alloc.tpu(), alloc.units());
         }
     }

@@ -44,7 +44,7 @@ fn churned_scheduler(
     let mut orch = Orchestrator::new(cluster);
     let mut pods = Vec::new();
     for (i, &milli) in loads.iter().enumerate() {
-        let spec = PodSpec::builder(&format!("cam-{i}"), "coral-pie:latest")
+        let spec = PodSpec::builder(format!("cam-{i}"), "coral-pie:latest")
             .resources(ResourceRequest::camera_default())
             .extension(EXT_MODEL, "mobilenet-v1")
             .extension(EXT_TPU_UNITS, &format!("0.{milli:03}"))

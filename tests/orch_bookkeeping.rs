@@ -35,7 +35,7 @@ struct SpecInput {
 
 impl SpecInput {
     fn build(&self) -> PodSpec {
-        let mut builder = PodSpec::builder(&format!("p{}", self.name), "img")
+        let mut builder = PodSpec::builder(format!("p{}", self.name), "img")
             .resources(ResourceRequest::new(self.cpu_millis, self.mem_mib * MIB));
         if let Some(g) = self.group {
             builder = builder.anti_affinity_group(GROUPS[g]);

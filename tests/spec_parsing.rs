@@ -74,10 +74,9 @@ fn render(input: &SpecInput) -> String {
 }
 
 fn expected(input: &SpecInput) -> PodSpec {
-    let mut builder = PodSpec::builder(&input.name, &input.image).resources(ResourceRequest::new(
-        input.cpu_millis,
-        input.mem_mib * 1024 * 1024,
-    ));
+    let mut builder = PodSpec::builder(input.name.as_str(), input.image.as_str()).resources(
+        ResourceRequest::new(input.cpu_millis, input.mem_mib * 1024 * 1024),
+    );
     for (k, v) in &input.selectors {
         builder = builder.node_selector(k, v);
     }
