@@ -62,6 +62,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 use microedge_cluster::network::NetworkModel;
@@ -84,7 +85,7 @@ use microedge_sim::rng::DetRng;
 use microedge_sim::series::StepSeries;
 use microedge_sim::stats::{LogLinearSketch, OnlineStats};
 use microedge_sim::time::{SimDuration, SimTime};
-use microedge_tpu::cocompile::CoCompiler;
+use microedge_tpu::cocompile::{CacheAllocation, CoCompiler};
 use microedge_tpu::device::{DeviceStats, TpuDevice, TpuId};
 use microedge_tpu::spec::TpuSpec;
 
@@ -183,7 +184,8 @@ pub struct StreamSpec {
     frame_limit: Option<u64>,
     start_offset: SimDuration,
     collocated: bool,
-    frame_filter: Option<(f64, u64)>,
+    /// `(pass rate, seed)`; boxed because almost no camera sets it.
+    frame_filter: Option<Box<(f64, u64)>>,
     source: SourceResolution,
     export: bool,
 }
@@ -321,7 +323,7 @@ impl StreamSpecBuilder {
             pass_rate > 0.0 && pass_rate <= 1.0,
             "pass rate must be in (0, 1], got {pass_rate}"
         );
-        self.spec.frame_filter = Some((pass_rate, seed));
+        self.spec.frame_filter = Some(Box::new((pass_rate, seed)));
         self
     }
 
@@ -441,11 +443,15 @@ struct StreamRuntime {
     audit: ThroughputAudit,
     latency: OnlineStats,
     interval: SimDuration,
-    frame_limit: Option<u64>,
-    emitted: u64,
-    collocated: bool,
+    /// Frames still to emit: `spec.frame_limit` counted down by every
+    /// emitted frame, including those dropped while the stream is
+    /// interrupted (which the audit does not count). `u64::MAX`, never
+    /// reached, for an unlimited stream. Kept here so the per-frame path
+    /// does not read the spec.
+    frames_left: u64,
     active: bool,
-    filter: Option<FrameFilter>,
+    /// Boxed because almost no camera sets one.
+    filter: Option<Box<FrameFilter>>,
     preprocess: SimDuration,
     /// First stream id of this lineage (self for original admissions).
     root: StreamId,
@@ -457,8 +463,19 @@ struct StreamRuntime {
     /// (guards against double emission chains across park/heal cycles).
     emission_alive: bool,
     /// Sequence number of the swap-in this stream is waiting on, if any;
-    /// stale `SwapIn` events carry older numbers and are ignored.
-    pending_swap: Option<u64>,
+    /// stale `SwapIn` events carry older numbers and are ignored. Numbers
+    /// start at 1.
+    pending_swap: Option<NonZeroU64>,
+}
+
+const _: () = assert!(std::mem::size_of::<StreamRuntime>() <= 304);
+
+impl StreamRuntime {
+    /// Counts one emitted frame; `true` while more frames are due.
+    fn count_frame(&mut self) -> bool {
+        self.frames_left = self.frames_left.saturating_sub(1);
+        self.frames_left > 0
+    }
 }
 
 /// A control-plane command deliverable through the event queue at a chosen
@@ -1135,17 +1152,13 @@ impl World {
 
     /// The stream `pod` currently backs, if any.
     fn stream_of_pod(&self, pod: PodId) -> Option<StreamId> {
-        let sid = *self.pods_to_streams.get(usize::try_from(pod.0).ok()?)?;
+        let sid = *self.pods_to_streams.get(pod.index())?;
         (self.stream(sid)?.pod == pod).then_some(sid)
     }
 
     /// Records that the just-created `pod` backs `sid`.
     fn map_pod(&mut self, pod: PodId, sid: StreamId) {
-        debug_assert_eq!(
-            usize::try_from(pod.0).ok(),
-            Some(self.pods_to_streams.len()),
-            "pod ids are dense"
-        );
+        debug_assert_eq!(pod.index(), self.pods_to_streams.len(), "pod ids are dense");
         self.pods_to_streams.push(sid);
     }
 
@@ -1278,13 +1291,13 @@ impl World {
             audit: ThroughputAudit::new(spec.fps),
             latency: OnlineStats::new(),
             interval: SimDuration::from_secs_f64(1.0 / spec.fps),
-            frame_limit: spec.frame_limit,
-            emitted: 0,
-            collocated: spec.collocated,
+            frames_left: spec.frame_limit.unwrap_or(u64::MAX),
             active: true,
-            filter: spec.frame_filter.map(|(pass_rate, seed)| FrameFilter {
-                pass_rate,
-                rng: DetRng::seed_from(seed),
+            filter: spec.frame_filter.as_deref().map(|&(pass_rate, seed)| {
+                Box::new(FrameFilter {
+                    pass_rate,
+                    rng: DetRng::seed_from(seed),
+                })
             }),
             preprocess: self.dp.preprocess_for(spec.source),
             spec,
@@ -1507,7 +1520,7 @@ impl World {
         let seq = chaos.swap_seq;
         let breakdown = RecoveryBreakdown::new(SimDuration::ZERO, SimDuration::ZERO, cost);
         if let Some(stream) = self.streams.get_mut(sid.index()) {
-            stream.pending_swap = Some(seq);
+            stream.pending_swap = NonZeroU64::new(seq);
         }
         self.queue.schedule_at(
             now + cost,
@@ -2150,7 +2163,7 @@ impl World {
             swap,
         );
         if let Some(stream) = self.streams.get_mut(sid.index()) {
-            stream.pending_swap = Some(seq);
+            stream.pending_swap = NonZeroU64::new(seq);
         }
         self.queue.schedule_at(
             now + rpc + swap,
@@ -2175,7 +2188,7 @@ impl World {
             let Some(s) = self.streams.get_mut(sid.index()) else {
                 return;
             };
-            if s.pending_swap != Some(seq) {
+            if s.pending_swap.map(NonZeroU64::get) != Some(seq) {
                 return;
             }
             s.pending_swap = None;
@@ -2727,13 +2740,26 @@ impl World {
         (self.finish(end), served)
     }
 
+    /// Loads the co-compiled plan of `tpu`'s live models into its device,
+    /// unless the device already holds it. The plan depends only on the
+    /// live model list, so a resident plan that lists exactly those models
+    /// in order is that plan. The device is checked, not the admission's
+    /// newly loaded models: a swap in `TpuDevice::invoke` replaces the
+    /// plan without the pool knowing.
     fn sync_device(&mut self, tpu: TpuId) {
-        let models = self.sched.resident_models(tpu);
-        let profiles: Vec<ModelProfile> = models
-            .iter()
+        let account = self.sched.pool().account(tpu);
+        let device = &mut self.services[tpu.index()].device;
+        let resident = device.resident().allocations().iter();
+        if account
+            .live_model_ids()
+            .eq(resident.map(CacheAllocation::model))
+        {
+            return;
+        }
+        let profiles: Vec<ModelProfile> = account
+            .live_model_ids()
             .map(|m| self.sched.catalog().expect(m).clone())
             .collect();
-        let device = &mut self.services[tpu.index()].device;
         let plan = CoCompiler::new(device.spec())
             .plan(&profiles)
             .expect("resident models are distinct");
@@ -2791,12 +2817,8 @@ impl World {
         if stream.phase == StreamPhase::Interrupted {
             // The placement is down (detected or not): the frame drops at
             // the client without reaching any TPU.
-            stream.emitted += 1;
             self.frames_dropped += 1;
-            if stream
-                .frame_limit
-                .is_none_or(|limit| stream.emitted < limit)
-            {
+            if stream.count_frame() {
                 let interval = stream.interval * u64::from(stream.den);
                 self.queue.schedule_after(interval, Ev::Frame(id));
             } else {
@@ -2805,7 +2827,7 @@ impl World {
             return;
         }
         stream.audit.frame_emitted(now);
-        stream.emitted += 1;
+        let more = stream.count_frame();
         let pre = stream.preprocess;
         let filtered = stream
             .filter
@@ -2816,9 +2838,6 @@ impl World {
             // pre-processing; it never reaches a TPU, so its completion
             // instant is already known.
             stream.audit.frame_completed(now + pre);
-            let more = stream
-                .frame_limit
-                .is_none_or(|limit| stream.emitted < limit);
             if more {
                 let interval = stream.interval * u64::from(stream.den);
                 self.queue.schedule_after(interval, Ev::Frame(id));
@@ -2828,7 +2847,7 @@ impl World {
             return;
         }
         let tpu = stream.stages[0].lbs.next();
-        let trans = if stream.collocated {
+        let trans = if stream.spec.collocated {
             SimDuration::ZERO
         } else {
             stream.stages[0].transfer
@@ -2843,9 +2862,6 @@ impl World {
         };
         self.queue
             .schedule_at(now + pre + trans, Ev::Arrive(tpu, inflight));
-        let more = stream
-            .frame_limit
-            .is_none_or(|limit| stream.emitted < limit);
         if more {
             let interval = stream.interval * u64::from(stream.den);
             self.queue.schedule_after(interval, Ev::Frame(id));
@@ -2905,7 +2921,7 @@ impl World {
             // the network.
             let next_tpu = stream.stages[next_stage].lbs.next();
             let local_hop = next_tpu == tpu && self.dp.pipeline_local_hop;
-            let trans = if local_hop || stream.collocated {
+            let trans = if local_hop || stream.spec.collocated {
                 SimDuration::ZERO
             } else {
                 stream.stages[next_stage].transfer
@@ -2954,6 +2970,44 @@ mod tests {
         StreamSpec::builder(name, "ssd-mobilenet-v2")
             .frame_limit(frames)
             .build()
+    }
+
+    #[test]
+    fn admission_restores_a_co_compiled_plan_a_swap_evicted() {
+        let mut w = world(1, Features::all());
+        let tpu = TpuId(0);
+        let small = |name: &str, model: &str| {
+            StreamSpec::builder(name, model)
+                .units(TpuUnits::from_f64(0.1))
+                .frame_limit(1)
+                .build()
+        };
+        w.admit_stream(small("a", "mobilenet-v2")).unwrap();
+        w.admit_stream(small("b", "mobilenet-v1")).unwrap();
+        let resident = |w: &World| -> Vec<ModelId> {
+            w.services[tpu.index()]
+                .device
+                .resident()
+                .allocations()
+                .iter()
+                .map(|a| a.model().clone())
+                .collect()
+        };
+        let live = w.sched.resident_models(tpu);
+        assert_eq!(live.len(), 2);
+        assert_eq!(resident(&w), live, "both models co-compiled");
+
+        // A model outside the plan swaps in and evicts it.
+        let outsider = w.sched.catalog().expect(&ModelId::new("unet-v2")).clone();
+        assert!(w.services[tpu.index()].device.invoke(&outsider).swapped());
+        assert_eq!(resident(&w), vec![ModelId::new("unet-v2")]);
+
+        // An admission that loads no new model still restores the plan.
+        let c = w.admit_stream(small("c", "mobilenet-v2")).unwrap();
+        let pod = w.streams[c.index()].pod;
+        assert!(w.sched.stage_assignment(pod).is_some());
+        assert_eq!(w.sched.resident_models(tpu), live);
+        assert_eq!(resident(&w), live, "plan restored");
     }
 
     #[test]

@@ -348,6 +348,41 @@ impl PodAssignment {
     }
 }
 
+const _: () = assert!(std::mem::size_of::<Option<PodAssignment>>() <= 56);
+
+/// Pod assignments indexed by `PodId`: the orchestrator issues ids densely
+/// from 0 and never reuses them, so the id is the slot, and a walk visits
+/// pods in ascending id order.
+#[derive(Default)]
+struct Assignments(Vec<Option<PodAssignment>>);
+
+impl Assignments {
+    fn get(&self, pod: PodId) -> Option<&PodAssignment> {
+        self.0.get(pod.index())?.as_ref()
+    }
+
+    fn remove(&mut self, pod: PodId) -> Option<PodAssignment> {
+        self.0.get_mut(pod.index())?.take()
+    }
+
+    fn insert(&mut self, pod: PodId, assignment: PodAssignment) {
+        let i = pod.index();
+        if let Some(entry) = self.0.get_mut(i) {
+            *entry = Some(assignment);
+        } else {
+            self.0.resize_with(i, || None);
+            self.0.push(Some(assignment));
+        }
+    }
+
+    /// Every assignment with its pod, ascending by id.
+    fn iter(&self) -> impl Iterator<Item = (PodId, &PodAssignment)> {
+        (0u64..)
+            .zip(&self.0)
+            .filter_map(|(id, a)| Some((PodId(id), a.as_ref()?)))
+    }
+}
+
 /// Divides a stage demand by a degradation denominator, keeping at least
 /// one micro-unit so a degraded stage never becomes free.
 fn scale_units(units: TpuUnits, den: u32) -> TpuUnits {
@@ -365,7 +400,7 @@ pub struct ExtendedScheduler {
     features: Features,
     dp: DataPlaneConfig,
     policy: Box<dyn AdmissionPolicy>,
-    assignments: BTreeMap<PodId, PodAssignment>,
+    assignments: Assignments,
     /// Reused across every admission decision (zero-alloc planning).
     plan_buffer: PlanBuffer,
 }
@@ -376,7 +411,7 @@ impl fmt::Debug for ExtendedScheduler {
             .field("pool", &self.pool)
             .field("features", &self.features)
             .field("policy", &self.policy.name())
-            .field("assignments", &self.assignments.len())
+            .field("assignments", &self.assignments.iter().count())
             .finish()
     }
 }
@@ -397,7 +432,7 @@ impl ExtendedScheduler {
             features,
             dp: DataPlaneConfig::calibrated(),
             policy,
-            assignments: BTreeMap::new(),
+            assignments: Assignments::default(),
             plan_buffer: PlanBuffer::new(),
         }
     }
@@ -609,9 +644,9 @@ impl ExtendedScheduler {
     pub fn reclaim_terminated(&mut self, orch: &Orchestrator) -> Vec<PodId> {
         let dead: Vec<PodId> = self
             .assignments
-            .keys()
-            .filter(|&&pod| orch.phase(pod) == Some(PodPhase::Terminated))
-            .copied()
+            .iter()
+            .map(|(pod, _)| pod)
+            .filter(|&pod| orch.phase(pod) == Some(PodPhase::Terminated))
             .collect();
         for &pod in &dead {
             self.release_assignment(pod);
@@ -630,7 +665,7 @@ impl ExtendedScheduler {
     /// if any.
     #[must_use]
     pub fn assignment(&self, pod: PodId) -> Option<Vec<Allocation>> {
-        self.assignments.get(&pod).map(|a| {
+        self.assignments.get(pod).map(|a| {
             a.stages
                 .iter()
                 .flat_map(|s| s.allocations.iter().copied())
@@ -641,7 +676,7 @@ impl ExtendedScheduler {
     /// Per-stage assignment of `pod`, if any.
     #[must_use]
     pub fn stage_assignment(&self, pod: PodId) -> Option<&[StagePlacement]> {
-        self.assignments.get(&pod).map(|a| &a.stages[..])
+        self.assignments.get(pod).map(|a| &a.stages[..])
     }
 
     /// Fails a TPU and re-admits every pod that was using it, in pod order.
@@ -663,7 +698,7 @@ impl ExtendedScheduler {
         let mut recovered = Vec::new();
         let mut lost = Vec::new();
         for pod in affected {
-            let Some(assignment) = self.assignments.remove(&pod) else {
+            let Some(assignment) = self.assignments.remove(pod) else {
                 continue;
             };
             self.release_plans(&assignment.stages);
@@ -734,7 +769,7 @@ impl ExtendedScheduler {
     ) -> Result<Inline<StagePlacement>, DeployError> {
         let assignment = self
             .assignments
-            .remove(&pod)
+            .remove(pod)
             .ok_or(DeployError::Orch(OrchError::UnknownPod(pod)))?;
         self.release_plans(&assignment.stages);
         match self.plan_stages(&assignment.requests(), new_den) {
@@ -776,7 +811,7 @@ impl ExtendedScheduler {
         let affected = self.pods_using(tpu);
         let mut migrated: Vec<(PodId, PodAssignment, Inline<StagePlacement>)> = Vec::new();
         for pod in affected {
-            let Some(original) = self.assignments.remove(&pod) else {
+            let Some(original) = self.assignments.remove(pod) else {
                 continue;
             };
             self.release_plans(&original.stages);
@@ -813,7 +848,7 @@ impl ExtendedScheduler {
     }
 
     fn release_assignment(&mut self, pod: PodId) {
-        if let Some(assignment) = self.assignments.remove(&pod) {
+        if let Some(assignment) = self.assignments.remove(pod) {
             self.release_plans(&assignment.stages);
         }
     }
@@ -828,7 +863,7 @@ impl ExtendedScheduler {
                     .iter()
                     .any(|s| s.allocations.iter().any(|al| al.tpu() == tpu))
             })
-            .map(|(&pod, _)| pod)
+            .map(|(pod, _)| pod)
             .collect()
     }
 
@@ -861,7 +896,7 @@ impl ExtendedScheduler {
         let mut moves = Vec::new();
         let mut newly_loaded: BTreeMap<TpuId, u64> = BTreeMap::new();
         for pod in self.pods_using(tpu) {
-            let Some(assignment) = self.assignments.get(&pod) else {
+            let Some(assignment) = self.assignments.get(pod) else {
                 continue;
             };
             for stage in &assignment.stages {
@@ -933,7 +968,7 @@ impl ExtendedScheduler {
         for mv in &plan.moves {
             let old = self
                 .assignments
-                .remove(&mv.pod)
+                .remove(mv.pod)
                 .expect("evicted pod holds an assignment");
             self.release_plans(&old.stages);
             self.commit_plans(&mv.plans);

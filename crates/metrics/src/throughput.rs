@@ -45,8 +45,11 @@ pub struct ThroughputAudit {
     target_fps: f64,
     emitted: u64,
     completed: u64,
-    first_emit: Option<SimTime>,
-    last_complete: Option<SimTime>,
+    /// Meaningful once `emitted > 0`, and `last_complete` once
+    /// `completed > 0`: the counts stand in for an `Option` tag, which
+    /// would double each field (one audit per stream at 100k streams).
+    first_emit: SimTime,
+    last_complete: SimTime,
 }
 
 impl ThroughputAudit {
@@ -65,8 +68,8 @@ impl ThroughputAudit {
             target_fps,
             emitted: 0,
             completed: 0,
-            first_emit: None,
-            last_complete: None,
+            first_emit: SimTime::ZERO,
+            last_complete: SimTime::ZERO,
         }
     }
 
@@ -78,8 +81,10 @@ impl ThroughputAudit {
 
     /// Records a frame entering the pipeline at `now`.
     pub fn frame_emitted(&mut self, now: SimTime) {
+        if self.emitted == 0 {
+            self.first_emit = now;
+        }
         self.emitted += 1;
-        self.first_emit.get_or_insert(now);
     }
 
     /// Records a frame finishing the pipeline at `now`.
@@ -93,8 +98,12 @@ impl ThroughputAudit {
     /// Panics if more frames complete than were emitted.
     pub fn frame_completed(&mut self, now: SimTime) {
         assert!(self.completed < self.emitted, "completion without emission");
+        self.last_complete = if self.completed == 0 {
+            now
+        } else {
+            self.last_complete.max(now)
+        };
         self.completed += 1;
-        self.last_complete = Some(self.last_complete.map_or(now, |last| last.max(now)));
     }
 
     /// Frames emitted so far.
@@ -124,13 +133,18 @@ impl ThroughputAudit {
     /// the full window — falling behind must not flatter the rate.
     #[must_use]
     pub fn report(&self, stream: &str, end: SimTime) -> SloReport {
-        let effective_end = match self.last_complete {
-            Some(last) if self.completed == self.emitted => last.min(end),
-            _ => end,
+        let effective_end = if self.completed > 0 && self.completed == self.emitted {
+            self.last_complete.min(end)
+        } else {
+            end
         };
-        let window = self
-            .first_emit
-            .map_or(0.0, |s| effective_end.saturating_since(s).as_secs_f64());
+        let window = if self.emitted > 0 {
+            effective_end
+                .saturating_since(self.first_emit)
+                .as_secs_f64()
+        } else {
+            0.0
+        };
         let achieved = if window > 0.0 {
             self.completed as f64 / window
         } else {

@@ -45,18 +45,16 @@ impl fmt::Display for OrchError {
 
 impl std::error::Error for OrchError {}
 
-/// The slot of `pod` in [`Orchestrator`]'s record slab; an id beyond the
-/// address space maps to a slot no slab reaches.
-fn slot(pod: PodId) -> usize {
-    usize::try_from(pod.0).unwrap_or(usize::MAX)
-}
-
+/// Everything the orchestrator keeps per pod: the one record of which pod
+/// is bound where.
 #[derive(Debug, Clone)]
 struct PodRecord {
     spec: PodSpec,
     phase: PodPhase,
     node: NodeId,
 }
+
+const _: () = assert!(std::mem::size_of::<PodRecord>() <= 64);
 
 /// The K3s-like control plane for one cluster.
 ///
@@ -180,18 +178,18 @@ impl Orchestrator {
     pub fn delete_pod(&mut self, pod: PodId) -> Result<NodeId, OrchError> {
         let record = self
             .pods
-            .get_mut(slot(pod))
+            .get_mut(pod.index())
             .filter(|r| r.phase == PodPhase::Running)
             .ok_or(OrchError::UnknownPod(pod))?;
         record.phase = PodPhase::Terminated;
-        let node = record.node;
         self.live_names.remove(record.spec.name());
-        self.state.unbind(pod).expect("running pod must be bound");
-        Ok(node)
+        self.state.unbind(&record.spec, record.node);
+        Ok(record.node)
     }
 
     /// Fails a node: it stops accepting pods and every pod running on it
-    /// terminates. Returns the displaced pods. Idempotent for already-failed nodes.
+    /// terminates. Returns the displaced pods, ascending. Idempotent for
+    /// already-failed nodes.
     ///
     /// # Panics
     ///
@@ -202,15 +200,14 @@ impl Orchestrator {
             "cannot fail unknown {node}"
         );
         self.state.set_schedulable(node, false);
-        let displaced = self.state.pods_on(node);
-        for &pod in &displaced {
-            let record = self
-                .pods
-                .get_mut(slot(pod))
-                .expect("bound pod has a record");
-            record.phase = PodPhase::Terminated;
-            self.live_names.remove(record.spec.name());
-            self.state.unbind(pod).expect("displaced pod was bound");
+        let mut displaced = Vec::new();
+        for (id, record) in (0u64..).zip(&mut self.pods) {
+            if record.phase == PodPhase::Running && record.node == node {
+                record.phase = PodPhase::Terminated;
+                self.live_names.remove(record.spec.name());
+                self.state.unbind(&record.spec, node);
+                displaced.push(PodId(id));
+            }
         }
         displaced
     }
@@ -233,19 +230,19 @@ impl Orchestrator {
     /// Lifecycle phase of `pod`, or `None` if the id was never issued.
     #[must_use]
     pub fn phase(&self, pod: PodId) -> Option<PodPhase> {
-        self.pods.get(slot(pod)).map(|r| r.phase)
+        self.pods.get(pod.index()).map(|r| r.phase)
     }
 
     /// Spec of `pod`, or `None` if the id was never issued.
     #[must_use]
     pub fn spec(&self, pod: PodId) -> Option<&PodSpec> {
-        self.pods.get(slot(pod)).map(|r| &r.spec)
+        self.pods.get(pod.index()).map(|r| &r.spec)
     }
 
     /// Node `pod` runs (or ran) on.
     #[must_use]
     pub fn node_of(&self, pod: PodId) -> Option<NodeId> {
-        self.pods.get(slot(pod)).map(|r| r.node)
+        self.pods.get(pod.index()).map(|r| r.node)
     }
 
     /// Ids of all running pods, ascending.
@@ -269,7 +266,7 @@ impl Orchestrator {
     fn bind(&mut self, spec: PodSpec, node: NodeId) -> PodId {
         let id = PodId(u64::try_from(self.pods.len()).expect("pod count fits u64"));
         self.live_names.insert(Arc::clone(spec.shared_name()));
-        self.state.bind(id, &spec, node);
+        self.state.bind(&spec, node);
         self.pods.push(PodRecord {
             spec,
             phase: PodPhase::Running,
@@ -348,6 +345,58 @@ mod tests {
     }
 
     #[test]
+    fn never_issued_pod_is_unknown() {
+        let mut o = orch(1);
+        o.create_pod(spec("a")).unwrap();
+        for pod in [PodId(1), PodId(u64::MAX)] {
+            assert_eq!(o.delete_pod(pod), Err(OrchError::UnknownPod(pod)));
+        }
+        assert_eq!(o.state().pod_count(), 1);
+    }
+
+    #[test]
+    fn every_create_binds_one_fresh_pod() {
+        let mut o = orch(2);
+        let a = o.create_pod(spec("a")).unwrap();
+        let b = o.create_pod(spec("b")).unwrap();
+        assert_ne!(a, b);
+        assert_eq!(o.state().pod_count(), 2);
+        // A rejected create binds nothing.
+        assert!(o.create_pod(spec("a")).is_err());
+        assert_eq!(o.state().pod_count(), 2);
+        o.delete_pod(a).unwrap();
+        assert_eq!(o.delete_pod(a), Err(OrchError::UnknownPod(a)));
+        assert_eq!(o.state().pod_count(), 1, "a double delete unbinds once");
+    }
+
+    #[test]
+    fn last_pod_of_a_group_leaving_a_node_clears_the_group() {
+        let grouped = |name: &str| {
+            PodSpec::builder(name, "i")
+                .resources(ResourceRequest::new(1000, 1024))
+                .anti_affinity_group("g")
+                .build()
+        };
+        let mut o = orch(1);
+        let node = o.cluster().nodes()[0].id();
+        let a = o.create_pod(grouped("a")).unwrap();
+        assert!(o.state().group_present_on(node, "g"));
+        o.delete_pod(a).unwrap();
+        assert!(!o.state().group_present_on(node, "g"), "deleted");
+
+        o.create_pod(grouped("b")).unwrap();
+        assert!(o.state().group_present_on(node, "g"), "re-bound");
+        o.create_pod(spec("plain")).unwrap();
+        o.fail_node(node);
+        assert!(!o.state().group_present_on(node, "g"), "failed");
+        assert_eq!(o.state().pod_count(), 0);
+
+        o.restore_node(node);
+        o.create_pod_on(grouped("c"), node).unwrap();
+        assert!(o.state().group_present_on(node, "g"), "re-bound");
+    }
+
+    #[test]
     fn create_pod_on_respects_feasibility() {
         let mut o = orch(2);
         let target = o.cluster().nodes()[1].id();
@@ -387,9 +436,7 @@ mod tests {
         let b = o.create_pod(spec("b")).unwrap();
         let node = o.node_of(a).unwrap();
 
-        let displaced = o.fail_node(node);
-        assert_eq!(displaced.len(), 2);
-        assert!(displaced.contains(&a) && displaced.contains(&b));
+        assert_eq!(o.fail_node(node), vec![a, b]);
         assert_eq!(o.phase(a), Some(PodPhase::Terminated));
         assert_eq!(o.phase(b), Some(PodPhase::Terminated));
         // The single node is gone: nothing schedules.

@@ -22,6 +22,16 @@ pub const EXT_TPU_UNITS: &str = "microedge.io/tpu-units";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct PodId(pub u64);
 
+impl PodId {
+    /// This id as its slot in a slab indexed by pod id: ids are issued
+    /// densely from 0. An id beyond the address space maps to a slot no
+    /// slab reaches.
+    #[must_use]
+    pub fn index(self) -> usize {
+        usize::try_from(self.0).unwrap_or(usize::MAX)
+    }
+}
+
 impl fmt::Display for PodId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "pod-{}", self.0)
@@ -104,12 +114,26 @@ pub struct PodSpec {
     name: Arc<str>,
     image: Arc<str>,
     resources: ResourceRequest,
+    /// The rarely set placement constraints and extensions, boxed so a
+    /// camera pod (which sets none) stays one pointer wide here; `None`
+    /// exactly when all three are empty.
+    extras: Option<Box<PodExtras>>,
+}
+
+const _: () = assert!(std::mem::size_of::<PodSpec>() <= 56);
+
+/// The parts of a [`PodSpec`] that most pods leave empty.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct PodExtras {
     node_selector: BTreeMap<String, String>,
     anti_affinity_group: Option<String>,
-    /// Sorted by key, keys unique: a camera carries two entries, which a
+    /// Sorted by key, keys unique: a Yaml pod carries two entries, which a
     /// `BTreeMap` would hold in a ~544-byte leaf node.
     extensions: Vec<(String, String)>,
 }
+
+/// The selector of a pod without extras.
+static NO_SELECTOR: BTreeMap<String, String> = BTreeMap::new();
 
 impl PodSpec {
     /// Starts building a spec for the given pod name and container image.
@@ -120,9 +144,7 @@ impl PodSpec {
             name: name.into(),
             image: image.into(),
             resources: ResourceRequest::camera_default(),
-            node_selector: BTreeMap::new(),
-            anti_affinity_group: None,
-            extensions: Vec::new(),
+            extras: PodExtras::default(),
         }
     }
 
@@ -152,28 +174,31 @@ impl PodSpec {
     /// Node labels this pod requires.
     #[must_use]
     pub fn node_selector(&self) -> &BTreeMap<String, String> {
-        &self.node_selector
+        self.extras
+            .as_ref()
+            .map_or(&NO_SELECTOR, |e| &e.node_selector)
     }
 
     /// Anti-affinity group: no two pods of the same group land on one node.
     #[must_use]
     pub fn anti_affinity_group(&self) -> Option<&str> {
-        self.anti_affinity_group.as_deref()
+        self.extras.as_ref()?.anti_affinity_group.as_deref()
     }
 
     /// All extension key/value pairs, in key order.
     #[must_use]
     pub fn extensions(&self) -> &[(String, String)] {
-        &self.extensions
+        self.extras.as_ref().map_or(&[], |e| &e.extensions)
     }
 
     /// Looks up one extension value.
     #[must_use]
     pub fn extension(&self, key: &str) -> Option<&str> {
-        self.extensions
+        let extensions = self.extensions();
+        extensions
             .binary_search_by(|(k, _)| k.as_str().cmp(key))
             .ok()
-            .and_then(|i| self.extensions.get(i))
+            .and_then(|i| extensions.get(i))
             .map(|(_, v)| v.as_str())
     }
 }
@@ -184,9 +209,7 @@ pub struct PodSpecBuilder {
     name: Arc<str>,
     image: Arc<str>,
     resources: ResourceRequest,
-    node_selector: BTreeMap<String, String>,
-    anti_affinity_group: Option<String>,
-    extensions: Vec<(String, String)>,
+    extras: PodExtras,
 }
 
 impl PodSpecBuilder {
@@ -201,14 +224,16 @@ impl PodSpecBuilder {
     /// Requires a node label.
     #[must_use]
     pub fn node_selector(mut self, key: &str, value: &str) -> Self {
-        self.node_selector.insert(key.to_owned(), value.to_owned());
+        self.extras
+            .node_selector
+            .insert(key.to_owned(), value.to_owned());
         self
     }
 
     /// Sets the anti-affinity group.
     #[must_use]
     pub fn anti_affinity_group(mut self, group: &str) -> Self {
-        self.anti_affinity_group = Some(group.to_owned());
+        self.extras.anti_affinity_group = Some(group.to_owned());
         self
     }
 
@@ -216,18 +241,14 @@ impl PodSpecBuilder {
     /// existing key.
     #[must_use]
     pub fn extension(mut self, key: &str, value: &str) -> Self {
-        match self
-            .extensions
-            .binary_search_by(|(k, _)| k.as_str().cmp(key))
-        {
+        let extensions = &mut self.extras.extensions;
+        match extensions.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
             Ok(i) => {
-                if let Some((_, v)) = self.extensions.get_mut(i) {
+                if let Some((_, v)) = extensions.get_mut(i) {
                     value.clone_into(v);
                 }
             }
-            Err(i) => self
-                .extensions
-                .insert(i, (key.to_owned(), value.to_owned())),
+            Err(i) => extensions.insert(i, (key.to_owned(), value.to_owned())),
         }
         self
     }
@@ -245,9 +266,7 @@ impl PodSpecBuilder {
             name: self.name,
             image: self.image,
             resources: self.resources,
-            node_selector: self.node_selector,
-            anti_affinity_group: self.anti_affinity_group,
-            extensions: self.extensions,
+            extras: (self.extras != PodExtras::default()).then(|| Box::new(self.extras)),
         }
     }
 }

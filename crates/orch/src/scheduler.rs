@@ -94,7 +94,7 @@ impl DefaultScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pod::{PodId, ResourceRequest};
+    use crate::pod::ResourceRequest;
     use microedge_cluster::node::TPU_LABEL;
     use microedge_cluster::topology::ClusterBuilder;
 
@@ -110,8 +110,8 @@ mod tests {
         let mut state = ClusterState::new(&cluster);
         let nodes: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id()).collect();
         // Load node 0 heavily and node 1 lightly.
-        state.bind(PodId(1), &spec(3000), nodes[0]);
-        state.bind(PodId(2), &spec(1000), nodes[1]);
+        state.bind(&spec(3000), nodes[0]);
+        state.bind(&spec(1000), nodes[1]);
 
         let ranked = DefaultScheduler::new().candidate_nodes(&cluster, &state, &spec(100));
         assert_eq!(ranked[0], nodes[2], "untouched node first");
@@ -124,7 +124,7 @@ mod tests {
         let cluster = ClusterBuilder::new().vrpis(1).build();
         let mut state = ClusterState::new(&cluster);
         let node = cluster.nodes()[0].id();
-        state.bind(PodId(1), &spec(4000), node);
+        state.bind(&spec(4000), node);
         let ranked = DefaultScheduler::new().candidate_nodes(&cluster, &state, &spec(1));
         assert!(ranked.is_empty());
     }
@@ -156,11 +156,11 @@ mod tests {
         };
         let sched = DefaultScheduler::new();
         let first = sched.candidate_nodes(&cluster, &state, &grouped("a"))[0];
-        state.bind(PodId(1), &grouped("a"), first);
+        state.bind(&grouped("a"), first);
         let remaining = sched.candidate_nodes(&cluster, &state, &grouped("b"));
         assert_eq!(remaining.len(), 1);
         assert_ne!(remaining[0], first);
-        state.bind(PodId(2), &grouped("b"), remaining[0]);
+        state.bind(&grouped("b"), remaining[0]);
         assert!(sched
             .candidate_nodes(&cluster, &state, &grouped("c"))
             .is_empty());
@@ -204,22 +204,20 @@ mod tests {
             rng ^= rng << 17;
             rng
         };
-        let mut bound: Vec<PodId> = Vec::new();
-        let mut pod_seq = 0u64;
+        let mut bound: Vec<(u32, NodeId)> = Vec::new();
         for step in 0..200 {
             match next() % 4 {
                 0 | 1 => {
                     let cpu = 100 + (next() % 900) as u32;
                     if let Some(node) = sched.best_node(&cluster, &state, &spec(cpu)) {
-                        pod_seq += 1;
-                        state.bind(PodId(pod_seq), &spec(cpu), node);
-                        bound.push(PodId(pod_seq));
+                        state.bind(&spec(cpu), node);
+                        bound.push((cpu, node));
                     }
                 }
                 2 => {
                     if !bound.is_empty() {
-                        let victim = bound.swap_remove(next() as usize % bound.len());
-                        state.unbind(victim);
+                        let (cpu, node) = bound.swap_remove(next() as usize % bound.len());
+                        state.unbind(&spec(cpu), node);
                     }
                 }
                 _ => {
@@ -257,7 +255,7 @@ mod tests {
         }
         let first = sched.best_node(&cluster, &state, &selected).unwrap();
         assert!(cluster.node(first).unwrap().has_tpu());
-        state.bind(PodId(1), &grouped, first);
+        state.bind(&grouped, first);
         let next_spread = PodSpec::builder("g2", "i")
             .resources(ResourceRequest::new(100, 1024))
             .anti_affinity_group("spread")

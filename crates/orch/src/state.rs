@@ -1,5 +1,5 @@
-//! Cluster allocation state: which pods are bound where, and what CPU and
-//! memory remain on each node.
+//! Cluster allocation state: what CPU and memory remain on each node, and
+//! which anti-affinity groups each node already hosts.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use microedge_cluster::node::NodeId;
 use microedge_cluster::topology::Cluster;
 
-use crate::pod::{PodId, PodSpec, ResourceRequest};
+use crate::pod::PodSpec;
 
 /// Entry of the ranked availability index: `(remaining CPU, remaining
 /// memory, Reverse(node id))`, so that *descending* set order is exactly
@@ -43,30 +43,23 @@ impl NodeAvailability {
     }
 }
 
-/// A pod bound to a node: only what unbinding and anti-affinity need, since
-/// the orchestrator's pod record owns the full spec.
-#[derive(Debug, Clone)]
-struct Binding {
-    node: NodeId,
-    resources: ResourceRequest,
-    anti_affinity_group: Option<String>,
-}
-
-/// Tracks bindings and per-node allocations for one cluster.
+/// Tracks per-node allocations for one cluster. The orchestrator's pod
+/// records say which pod is bound where; this state keeps only what the
+/// schedulers read per node.
 ///
 /// # Examples
 ///
 /// ```
 /// use microedge_cluster::topology::ClusterBuilder;
-/// use microedge_orch::pod::{PodId, PodSpec};
+/// use microedge_orch::pod::PodSpec;
 /// use microedge_orch::state::ClusterState;
 ///
 /// let cluster = ClusterBuilder::new().vrpis(1).build();
 /// let mut state = ClusterState::new(&cluster);
 /// let spec = PodSpec::builder("p", "i").build();
 /// let node = cluster.nodes()[0].id();
-/// state.bind(PodId(0), &spec, node);
-/// assert_eq!(state.pods_on(node).len(), 1);
+/// state.bind(&spec, node);
+/// assert_eq!(state.pod_count(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClusterState {
@@ -76,8 +69,12 @@ pub struct ClusterState {
     /// common selector-free placement is an index lookup instead of a full
     /// filter-and-sort over the fleet.
     ranked: BTreeSet<RankedEntry>,
-    bindings: BTreeMap<PodId, Binding>,
     unschedulable: BTreeSet<NodeId>,
+    /// Bound pods, for [`ClusterState::pod_count`].
+    bound: usize,
+    /// Bound pods per anti-affinity group and node; an entry leaves when
+    /// its count reaches zero, so presence is the anti-affinity check.
+    groups: BTreeMap<String, BTreeMap<NodeId, usize>>,
 }
 
 impl ClusterState {
@@ -104,8 +101,9 @@ impl ClusterState {
         ClusterState {
             availability,
             ranked,
-            bindings: BTreeMap::new(),
             unschedulable: BTreeSet::new(),
+            bound: 0,
+            groups: BTreeMap::new(),
         }
     }
 
@@ -131,53 +129,73 @@ impl ClusterState {
         self.availability.get(&node).copied()
     }
 
-    /// Binds `pod` to `node`, decrementing the node's availability.
+    /// Binds a pod with `spec` to `node`, decrementing the node's
+    /// availability.
     ///
     /// # Panics
     ///
-    /// Panics if the node is unknown, the pod id is already bound, or the
-    /// requests do not fit — callers must check with
-    /// [`NodeAvailability::fits`] first (the scheduler does).
-    pub fn bind(&mut self, pod: PodId, spec: &PodSpec, node: NodeId) {
+    /// Panics if the node is unknown or the requests do not fit — callers
+    /// must check with [`NodeAvailability::fits`] first (the scheduler
+    /// does).
+    pub fn bind(&mut self, spec: &PodSpec, node: NodeId) {
         let resources = spec.resources();
-        let avail = self
-            .availability
-            .get_mut(&node)
-            .unwrap_or_else(|| panic!("unknown node {node}"));
+        let avail = self.node_mut(node);
         assert!(
             avail.cpu_millis >= resources.cpu_millis() && avail.mem_bytes >= resources.mem_bytes(),
-            "binding {pod} to {node} would oversubscribe the node"
+            "binding {} to {node} would oversubscribe the node",
+            spec.name()
         );
-        self.ranked
-            .remove(&(avail.cpu_millis, avail.mem_bytes, Reverse(node)));
+        let before = *avail;
         avail.cpu_millis -= resources.cpu_millis();
         avail.mem_bytes -= resources.mem_bytes();
-        self.ranked
-            .insert((avail.cpu_millis, avail.mem_bytes, Reverse(node)));
-        let binding = Binding {
-            node,
-            resources,
-            anti_affinity_group: spec.anti_affinity_group().map(str::to_owned),
-        };
-        let prev = self.bindings.insert(pod, binding);
-        assert!(prev.is_none(), "{pod} is already bound");
+        let after = *avail;
+        self.rerank(node, before, after);
+        self.bound += 1;
+        if let Some(group) = spec.anti_affinity_group() {
+            let nodes = self.groups.entry(group.to_owned()).or_default();
+            *nodes.entry(node).or_insert(0) += 1;
+        }
     }
 
-    /// Unbinds `pod`, returning its resources to the node. Returns the node
-    /// it was bound to, or `None` if the pod was unknown.
-    pub fn unbind(&mut self, pod: PodId) -> Option<NodeId> {
-        let binding = self.bindings.remove(&pod)?;
-        let avail = self
-            .availability
-            .get_mut(&binding.node)
-            .expect("bound node must exist");
+    /// Unbinds a pod with `spec` from `node`, returning its resources to
+    /// the node. The caller must have bound exactly this spec there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is unknown.
+    pub fn unbind(&mut self, spec: &PodSpec, node: NodeId) {
+        let resources = spec.resources();
+        let avail = self.node_mut(node);
+        let before = *avail;
+        avail.cpu_millis += resources.cpu_millis();
+        avail.mem_bytes += resources.mem_bytes();
+        let after = *avail;
+        self.rerank(node, before, after);
+        self.bound -= 1;
+        let group = spec.anti_affinity_group();
+        if let Some(nodes) = group.and_then(|g| self.groups.get_mut(g)) {
+            if let Some(count) = nodes.get_mut(&node) {
+                *count -= 1;
+                if *count == 0 {
+                    nodes.remove(&node);
+                }
+            }
+        }
+    }
+
+    fn node_mut(&mut self, node: NodeId) -> &mut NodeAvailability {
+        self.availability
+            .get_mut(&node)
+            .unwrap_or_else(|| panic!("unknown node {node}"))
+    }
+
+    /// Moves `node` in the ranked index from its `before` to its `after`
+    /// availability.
+    fn rerank(&mut self, node: NodeId, before: NodeAvailability, after: NodeAvailability) {
         self.ranked
-            .remove(&(avail.cpu_millis, avail.mem_bytes, Reverse(binding.node)));
-        avail.cpu_millis += binding.resources.cpu_millis();
-        avail.mem_bytes += binding.resources.mem_bytes();
+            .remove(&(before.cpu_millis, before.mem_bytes, Reverse(node)));
         self.ranked
-            .insert((avail.cpu_millis, avail.mem_bytes, Reverse(binding.node)));
-        Some(binding.node)
+            .insert((after.cpu_millis, after.mem_bytes, Reverse(node)));
     }
 
     /// The best node for a **selector-free, anti-affinity-free** spec: the
@@ -200,35 +218,19 @@ impl ClusterState {
             .next()
     }
 
-    /// The node `pod` is bound to, if any.
-    #[must_use]
-    pub fn node_of(&self, pod: PodId) -> Option<NodeId> {
-        self.bindings.get(&pod).map(|b| b.node)
-    }
-
-    /// Ids of all pods currently bound to `node`.
-    #[must_use]
-    pub fn pods_on(&self, node: NodeId) -> Vec<PodId> {
-        self.bindings
-            .iter()
-            .filter(|(_, b)| b.node == node)
-            .map(|(&id, _)| id)
-            .collect()
-    }
-
     /// `true` when some pod of `group` is already bound to `node`
     /// (anti-affinity check).
     #[must_use]
     pub fn group_present_on(&self, node: NodeId, group: &str) -> bool {
-        self.bindings
-            .values()
-            .any(|b| b.node == node && b.anti_affinity_group.as_deref() == Some(group))
+        self.groups
+            .get(group)
+            .is_some_and(|nodes| nodes.contains_key(&node))
     }
 
     /// Number of bound pods.
     #[must_use]
     pub fn pod_count(&self) -> usize {
-        self.bindings.len()
+        self.bound
     }
 }
 
@@ -255,21 +257,14 @@ mod tests {
         let (c, node) = one_node();
         let mut st = ClusterState::new(&c);
         let before = st.availability(node).unwrap();
-        st.bind(PodId(1), &spec(1000, 1024), node);
+        st.bind(&spec(1000, 1024), node);
         let during = st.availability(node).unwrap();
         assert_eq!(during.cpu_millis(), before.cpu_millis() - 1000);
         assert_eq!(during.mem_bytes(), before.mem_bytes() - 1024);
-        assert_eq!(st.node_of(PodId(1)), Some(node));
-        assert_eq!(st.unbind(PodId(1)), Some(node));
+        assert_eq!(st.pod_count(), 1);
+        st.unbind(&spec(1000, 1024), node);
         assert_eq!(st.availability(node).unwrap(), before);
         assert_eq!(st.pod_count(), 0);
-    }
-
-    #[test]
-    fn unbind_unknown_pod_is_none() {
-        let (c, _) = one_node();
-        let mut st = ClusterState::new(&c);
-        assert_eq!(st.unbind(PodId(9)), None);
     }
 
     #[test]
@@ -277,41 +272,26 @@ mod tests {
     fn binding_beyond_capacity_panics() {
         let (c, node) = one_node();
         let mut st = ClusterState::new(&c);
-        st.bind(PodId(1), &spec(4000, 1024), node);
-        st.bind(PodId(2), &spec(1, 1024), node);
+        st.bind(&spec(4000, 1024), node);
+        st.bind(&spec(1, 1024), node);
     }
 
     #[test]
-    #[should_panic(expected = "already bound")]
-    fn double_bind_panics() {
-        let (c, node) = one_node();
-        let mut st = ClusterState::new(&c);
-        st.bind(PodId(1), &spec(1, 1), node);
-        st.bind(PodId(1), &spec(1, 1), node);
-    }
-
-    #[test]
-    fn anti_affinity_group_detection() {
+    fn anti_affinity_group_is_counted_per_node() {
         let (c, node) = one_node();
         let mut st = ClusterState::new(&c);
         let grouped = PodSpec::builder("a", "i")
             .resources(ResourceRequest::new(1, 1))
             .anti_affinity_group("g")
             .build();
-        st.bind(PodId(1), &grouped, node);
+        st.bind(&grouped, node);
+        st.bind(&grouped, node);
         assert!(st.group_present_on(node, "g"));
         assert!(!st.group_present_on(node, "other"));
-    }
-
-    #[test]
-    fn pods_on_lists_bound_pods() {
-        let (c, node) = one_node();
-        let mut st = ClusterState::new(&c);
-        st.bind(PodId(1), &spec(1, 1), node);
-        st.bind(PodId(2), &spec(1, 1), node);
-        let mut pods = st.pods_on(node);
-        pods.sort();
-        assert_eq!(pods, vec![PodId(1), PodId(2)]);
+        st.unbind(&grouped, node);
+        assert!(st.group_present_on(node, "g"), "one pod of g is left");
+        st.unbind(&grouped, node);
+        assert!(!st.group_present_on(node, "g"));
     }
 
     #[test]

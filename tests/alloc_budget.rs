@@ -3,11 +3,12 @@
 //! Every admitted camera leaves a stream record, a scheduler assignment and
 //! an orchestrator pod record live for the whole run. This test counts what
 //! stays on the heap: it admits 10k scale-tier cameras into one `World` and
-//! bounds the growth of live allocations at 4 per camera. The stream specs
-//! are built before the first reading, so the budget covers what admission
-//! adds, not the caller's inputs. Allocation counts do not depend on the
-//! host or the build profile's timing, so the gate runs in every
-//! `cargo test`.
+//! bounds the growth of live allocations at 4 per camera and of live
+//! requested bytes at 800 per camera (the measured 726 plus 10 %). The
+//! stream specs are built before the first reading, so the budget covers
+//! what admission adds, not the caller's inputs. Allocation counts and
+//! requested bytes do not depend on the host or the build profile's timing,
+//! so the gate runs in every `cargo test`.
 //!
 //! The counting allocator is process-wide, so this must stay the only test
 //! in its binary: another test thread would share the counters.
@@ -24,10 +25,14 @@ use microedge::sim::time::SimDuration;
 const CAMERAS: u64 = 10_000;
 /// Live heap allocations each admitted camera may add.
 const BUDGET_PER_CAMERA: i64 = 4;
+/// Live requested bytes each admitted camera may add.
+const BYTES_PER_CAMERA: i64 = 800;
 
-/// Live allocations and live requested bytes.
+/// Live allocations, live requested bytes, and allocator calls (allocations
+/// and reallocations, live or not).
 static LIVE: AtomicI64 = AtomicI64::new(0);
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+static CALLS: AtomicI64 = AtomicI64::new(0);
 
 /// Delegates to the system allocator and keeps live counts.
 struct Counting;
@@ -43,12 +48,14 @@ fn size_of(layout: Layout) -> i64 {
 )]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         LIVE.fetch_add(1, Ordering::Relaxed);
         LIVE_BYTES.fetch_add(size_of(layout), Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         LIVE.fetch_add(1, Ordering::Relaxed);
         LIVE_BYTES.fetch_add(size_of(layout), Ordering::Relaxed);
         System.alloc_zeroed(layout)
@@ -61,6 +68,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         let grown = i64::try_from(new_size).unwrap_or(i64::MAX) - size_of(layout);
         LIVE_BYTES.fetch_add(grown, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
@@ -85,9 +93,10 @@ fn admitting_cameras_stays_within_the_allocation_budget() {
         })
         .collect();
 
-    let (live, bytes) = (
+    let (live, bytes, calls) = (
         LIVE.load(Ordering::Relaxed),
         LIVE_BYTES.load(Ordering::Relaxed),
+        CALLS.load(Ordering::Relaxed),
     );
     for spec in specs {
         world
@@ -97,16 +106,24 @@ fn admitting_cameras_stays_within_the_allocation_budget() {
     let cameras = i64::try_from(CAMERAS).expect("camera count fits i64");
     let grown = LIVE.load(Ordering::Relaxed) - live;
     let grown_bytes = LIVE_BYTES.load(Ordering::Relaxed) - bytes;
+    let calls = CALLS.load(Ordering::Relaxed) - calls;
     eprintln!(
         "live heap growth over {CAMERAS} admissions: {grown} allocations \
-         ({:.2} per camera), {grown_bytes} B ({} B per camera)",
+         ({:.2} per camera), {grown_bytes} B ({} B per camera); \
+         {calls} allocator calls ({:.2} per camera)",
         grown as f64 / cameras as f64,
         grown_bytes / cameras,
+        calls as f64 / cameras as f64,
     );
     assert!(
         grown <= BUDGET_PER_CAMERA * cameras,
         "admitting {CAMERAS} cameras left {grown} more live allocations \
          (budget {BUDGET_PER_CAMERA} per camera)"
+    );
+    assert!(
+        grown_bytes <= BYTES_PER_CAMERA * cameras,
+        "admitting {CAMERAS} cameras left {grown_bytes} more live bytes \
+         (budget {BYTES_PER_CAMERA} per camera)"
     );
     drop(world);
 }

@@ -4,8 +4,8 @@
 //! an orchestrator pod record resident for the whole run, so this state is
 //! what limits how many cameras one process can replay. The test admits the
 //! 100k-camera scale tier into one `World` and bounds the resident-set
-//! growth over the admissions at 79 MiB, about 0.8 KiB per camera (the
-//! measured 72 MiB plus 10 % headroom). The stream specs are built before
+//! growth over the admissions at 46 MiB, about 0.5 KiB per camera (the
+//! measured 42 MiB plus 10 % headroom). The stream specs are built before
 //! the first reading, so the budget covers what admission adds, not the
 //! caller's inputs. `tests/alloc_budget.rs` gates the allocation count the
 //! same way.
@@ -25,7 +25,7 @@ use microedge::core::runtime::{StreamSpec, World};
 use microedge::sim::time::SimDuration;
 
 const CAMERAS: u64 = 100_000;
-const BUDGET_MIB: u64 = 79;
+const BUDGET_MIB: u64 = 46;
 
 /// Resident set of this process in bytes, from `/proc/self/status`.
 fn rss_bytes() -> u64 {
