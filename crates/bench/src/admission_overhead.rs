@@ -36,7 +36,6 @@
     reason = "times the simulator itself; lands on host_ lines"
 )]
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use microedge_core::admission::{reference, AdmissionPolicy, FirstFit, PlanBuffer};
@@ -52,6 +51,8 @@ use microedge_sim::stats::OnlineStats;
 use microedge_sim::time::SimDuration;
 use microedge_tpu::cocompile::CoCompiler;
 use microedge_tpu::spec::TpuSpec;
+
+use crate::artifact::{self, fixed};
 
 /// Launch-latency statistics for one configuration.
 #[derive(Debug, Clone)]
@@ -273,37 +274,17 @@ pub const ADMISSION_WORKLOAD: &str =
 /// One fleet size of the admission-throughput sweep.
 #[derive(Debug, Clone)]
 pub struct AdmissionSweepPoint {
-    tpus: u32,
-    iterations: u32,
-    linear_ns: f64,
-    indexed_ns: f64,
+    /// Fleet size.
+    pub tpus: u32,
+    /// Plans timed per round at this size.
+    pub iterations: u32,
+    /// Nanoseconds per plan for the linear-scan reference (pre).
+    pub linear_ns: f64,
+    /// Nanoseconds per plan for the indexed fast path (post).
+    pub indexed_ns: f64,
 }
 
 impl AdmissionSweepPoint {
-    /// Fleet size.
-    #[must_use]
-    pub fn tpus(&self) -> u32 {
-        self.tpus
-    }
-
-    /// Plans timed per round at this size.
-    #[must_use]
-    pub fn iterations(&self) -> u32 {
-        self.iterations
-    }
-
-    /// Nanoseconds per plan for the linear-scan reference (pre).
-    #[must_use]
-    pub fn linear_ns(&self) -> f64 {
-        self.linear_ns
-    }
-
-    /// Nanoseconds per plan for the indexed fast path (post).
-    #[must_use]
-    pub fn indexed_ns(&self) -> f64 {
-        self.indexed_ns
-    }
-
     /// Linear-scan admission decisions per second.
     #[must_use]
     pub fn linear_plans_per_sec(&self) -> f64 {
@@ -326,31 +307,17 @@ impl AdmissionSweepPoint {
 /// The admission-throughput sweep result (`BENCH_admission.json`).
 #[derive(Debug, Clone)]
 pub struct AdmissionPerf {
-    rounds: u32,
-    pre_label: &'static str,
-    post_label: &'static str,
-    points: Vec<AdmissionSweepPoint>,
+    /// Rounds each point was timed (best round reported).
+    pub rounds: u32,
+    /// The linear-scan reference policy's name.
+    pub pre_label: &'static str,
+    /// The indexed policy's name.
+    pub post_label: &'static str,
+    /// Per-size measurements, ascending fleet size.
+    pub points: Vec<AdmissionSweepPoint>,
 }
 
 impl AdmissionPerf {
-    /// Per-size measurements, ascending fleet size.
-    #[must_use]
-    pub fn points(&self) -> &[AdmissionSweepPoint] {
-        &self.points
-    }
-
-    /// Rounds each point was timed (best round reported).
-    #[must_use]
-    pub fn rounds(&self) -> u32 {
-        self.rounds
-    }
-
-    /// The sweep's workload description.
-    #[must_use]
-    pub fn workload(&self) -> &'static str {
-        ADMISSION_WORKLOAD
-    }
-
     /// Indexed-over-linear speedup at a given fleet size, if measured.
     #[must_use]
     pub fn speedup_at(&self, tpus: u32) -> Option<f64> {
@@ -361,39 +328,30 @@ impl AdmissionPerf {
     }
 
     /// Renders the `BENCH_admission.json` document: per-size pre
-    /// (linear-scan reference) and post (indexed) planning throughput.
+    /// (linear-scan reference) and post (indexed) planning throughput,
+    /// every timing on a `host_` line.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut points = String::new();
-        for (i, p) in self.points.iter().enumerate() {
-            let comma = if i + 1 < self.points.len() { "," } else { "" };
-            let _ = write!(
-                points,
-                "\n    {{\"tpus\": {tpus}, \"iterations\": {iters}, \
-                 \"pre\": {{\"algorithm\": \"{pre}\", \"ns_per_plan\": {lns:.1}, \"plans_per_sec\": {lps:.0}}}, \
-                 \"post\": {{\"algorithm\": \"{post}\", \"ns_per_plan\": {ins:.1}, \"plans_per_sec\": {ips:.0}}}, \
-                 \"speedup\": {speedup:.2}}}{comma}",
-                tpus = p.tpus,
-                iters = p.iterations,
-                pre = self.pre_label,
-                lns = p.linear_ns,
-                lps = p.linear_plans_per_sec(),
-                post = self.post_label,
-                ins = p.indexed_ns,
-                ips = p.indexed_plans_per_sec(),
-                speedup = p.speedup(),
-            );
-        }
-        let at_4096 = self
-            .speedup_at(4096)
-            .map_or_else(|| "null".to_owned(), |s| format!("{s:.2}"));
-        format!(
-            "{{\n  \"benchmark\": \"admission_plan_throughput\",\n  \
-             \"workload\": \"{workload}\",\n  \"rounds\": {rounds},\n  \
-             \"speedup_at_4096\": {at_4096},\n  \"points\": [{points}\n  ]\n}}\n",
-            workload = ADMISSION_WORKLOAD,
-            rounds = self.rounds,
-        )
+        artifact::document(|d| {
+            d.str("benchmark", "admission_plan_throughput")
+                .str("workload", ADMISSION_WORKLOAD)
+                .num("rounds", self.rounds)
+                .str("pre", self.pre_label)
+                .str("post", self.post_label)
+                .host(
+                    "speedup_at_4096",
+                    self.speedup_at(4096).map(|s| fixed(s, 2)),
+                )
+                .rows("points", 4, &self.points, |r, p| {
+                    r.num("tpus", p.tpus)
+                        .num("iterations", p.iterations)
+                        .host("pre_ns_per_plan", fixed(p.linear_ns, 1))
+                        .host("pre_plans_per_sec", fixed(p.linear_plans_per_sec(), 0))
+                        .host("post_ns_per_plan", fixed(p.indexed_ns, 1))
+                        .host("post_plans_per_sec", fixed(p.indexed_plans_per_sec(), 0))
+                        .host("speedup", fixed(p.speedup(), 2));
+                });
+        })
     }
 }
 
@@ -563,12 +521,12 @@ mod tests {
     #[test]
     fn sweep_measures_every_size() {
         let perf = run_admission_perf_with(&[(16, 50), (64, 50)], 1);
-        assert_eq!(perf.points().len(), 2);
-        assert_eq!(perf.points()[0].tpus(), 16);
-        assert_eq!(perf.points()[1].tpus(), 64);
-        for p in perf.points() {
-            assert!(p.linear_ns() > 0.0);
-            assert!(p.indexed_ns() > 0.0);
+        assert_eq!(perf.points.len(), 2);
+        assert_eq!(perf.points[0].tpus, 16);
+        assert_eq!(perf.points[1].tpus, 64);
+        for p in &perf.points {
+            assert!(p.linear_ns > 0.0);
+            assert!(p.indexed_ns > 0.0);
             assert!(p.indexed_plans_per_sec() > 0.0);
         }
         assert!(perf.speedup_at(64).is_some());
@@ -590,11 +548,12 @@ mod tests {
         let perf = run_admission_perf_with(&[(16, 20), (4096, 20)], 1);
         let json = perf.to_json();
         assert!(json.contains("\"benchmark\": \"admission_plan_throughput\""));
-        assert!(json.contains("\"pre\""));
-        assert!(json.contains("\"post\""));
-        assert!(json.contains("\"plans_per_sec\""));
-        assert!(json.contains("\"speedup_at_4096\""));
-        assert!(!json.contains("\"speedup_at_4096\": null"));
+        assert!(json.contains("\"pre\": \"first-fit/linear\""));
+        assert!(json.contains("\"post\": \"first-fit\""));
+        assert!(json.contains("\"host_pre_plans_per_sec\""));
+        assert!(json.contains("\"host_post_plans_per_sec\""));
+        assert!(json.contains("\"host_speedup_at_4096\""));
+        assert!(!json.contains("\"host_speedup_at_4096\": null"));
         assert!(json.ends_with("}\n"));
     }
 

@@ -15,11 +15,6 @@
 //!    front door, where scripted departures shatter every cluster into
 //!    0.6-unit holes and late 0.8-unit global admissions only fit if the
 //!    epoch-barrier defragmenter has consolidated them.
-//!
-//! The JSON follows the repo convention: wall-clock measurements ride
-//! `host_`-prefixed lines; every other field is a pure function of the
-//! trace, so CI strips `host_` lines and byte-compares the artifact
-//! across `MICROEDGE_WORKERS` settings.
 
 #![expect(
     clippy::disallowed_methods,
@@ -27,7 +22,6 @@
 )]
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use microedge_cluster::topology::ClusterBuilder;
@@ -46,6 +40,7 @@ use microedge_sim::rng::DetRng;
 use microedge_sim::time::{SimDuration, SimTime};
 use microedge_tpu::device::TpuId;
 
+use crate::artifact::{self, fixed};
 use crate::packing::l2_lower_bound;
 
 /// TPUs in the churn cluster (full mode).
@@ -460,89 +455,67 @@ pub fn render_defrag(study: &DefragStudy) -> String {
     )
 }
 
-/// Renders the `BENCH_defrag.json` document. Wall-clock measurements ride
-/// `host_`-prefixed lines; every other field is a pure function of the
-/// seeded trace.
+/// Renders the `BENCH_defrag.json` document.
 #[must_use]
 pub fn to_json(study: &DefragStudy) -> String {
-    let mut arms = String::new();
-    for (i, a) in study.arms.iter().enumerate() {
-        let comma = if i + 1 < study.arms.len() { "," } else { "" };
-        let series = a
-            .efficiency_series
-            .iter()
-            .map(|e| format!("{e:.4}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let s = &a.stats;
-        let _ = write!(
-            arms,
-            "\n      {{\"arm\": \"{label}\", \"admitted\": {adm}, \"rejected\": {rej}, \
-             \"admit_rate\": {rate:.6},\n        \
-             \"mean_efficiency\": {mean:.6}, \"steady_efficiency\": {steady:.6}, \
-             \"min_efficiency\": {min:.6}, \"mean_fragmentation\": {frag:.6},\n        \
-             \"conservation_violations\": {viol},\n        \
-             \"cycles\": {cycles}, \"moves\": {moves}, \"pods_migrated\": {pods}, \
-             \"units_recovered_micro\": {rec}, \"disruption_ns\": {dis},\n        \
-             \"skipped\": {{\"gain\": {sg}, \"guard\": {sgu}, \"budget\": {sb}, \
-             \"cost\": {sc}, \"unplaceable\": {su}}},\n        \
-             \"efficiency_hourly\": [{series}],\n        \
-             \"host_wall_s\": {wall:.3}}}{comma}",
-            label = arm_label(a.defrag),
-            adm = a.admitted,
-            rej = a.rejected,
-            rate = a.admit_rate(),
-            mean = a.mean_efficiency,
-            steady = a.steady_efficiency,
-            min = a.min_efficiency,
-            frag = a.mean_fragmentation,
-            viol = a.conservation_violations,
-            cycles = s.cycles,
-            moves = s.moves,
-            pods = s.pods_migrated,
-            rec = s.units_recovered_micro,
-            dis = s.disruption_ns,
-            sg = s.skipped_gain,
-            sgu = s.skipped_guard,
-            sb = s.skipped_budget,
-            sc = s.skipped_cost,
-            su = s.skipped_unplaceable,
-            series = series,
-            wall = a.host_wall_s,
-        );
-    }
-    let mut fleet = String::new();
-    for (i, f) in study.fleet.iter().enumerate() {
-        let comma = if i + 1 < study.fleet.len() { "," } else { "" };
-        let _ = write!(
-            fleet,
-            "\n      {{\"arm\": \"{label}\", \"late_admitted\": {la}, \
-             \"admit_rejected\": {ar}, \"cycles\": {cycles}, \"moves\": {moves}, \
-             \"units_recovered_micro\": {rec}, \"disruption_ns\": {dis}, \
-             \"frames\": {frames}}}{comma}",
-            label = arm_label(f.defrag),
-            la = f.late_admitted,
-            ar = f.admit_rejected,
-            cycles = f.stats.cycles,
-            moves = f.stats.moves,
-            rec = f.stats.units_recovered_micro,
-            dis = f.stats.disruption_ns,
-            frames = f.frames,
-        );
-    }
-    format!(
-        "{{\n  \"benchmark\": \"defrag\",\n  \
-         \"workload\": \"{rounds}-round churn trace on {tpus} TPUs \
-         (1 round = 1 simulated minute; 80% 0.10-0.50-unit cameras, 20% 0.70-0.95; \
-         depart p={depart:.4}/round; defrag cycle every {every} rounds) + \
-         {clusters}x2-TPU sharded fleet with late 0.8-unit front-door admits\",\n  \
-         \"arms\": [{arms}\n  ],\n  \"fleet\": [{fleet}\n  ]\n}}\n",
-        rounds = study.rounds,
-        tpus = study.tpus,
-        depart = DEPART_CHANCE,
-        every = DEFRAG_EVERY_ROUNDS,
-        clusters = FLEET_CLUSTERS,
-    )
+    artifact::document(|d| {
+        d.str("benchmark", "defrag")
+            .str(
+                "workload",
+                &format!(
+                    "{rounds}-round churn trace on {tpus} TPUs \
+                     (1 round = 1 simulated minute; 80% 0.10-0.50-unit cameras, 20% 0.70-0.95; \
+                     depart p={DEPART_CHANCE:.4}/round; defrag cycle every {DEFRAG_EVERY_ROUNDS} rounds) + \
+                     {FLEET_CLUSTERS}x2-TPU sharded fleet with late 0.8-unit front-door admits",
+                    rounds = study.rounds,
+                    tpus = study.tpus,
+                ),
+            )
+            .rows("arms", 6, &study.arms, |r, a| {
+                let s = &a.stats;
+                r.str("arm", arm_label(a.defrag))
+                    .num("admitted", a.admitted)
+                    .num("rejected", a.rejected)
+                    .num("admit_rate", fixed(a.admit_rate(), 6))
+                    .br()
+                    .num("mean_efficiency", fixed(a.mean_efficiency, 6))
+                    .num("steady_efficiency", fixed(a.steady_efficiency, 6))
+                    .num("min_efficiency", fixed(a.min_efficiency, 6))
+                    .num("mean_fragmentation", fixed(a.mean_fragmentation, 6))
+                    .br()
+                    .num("conservation_violations", a.conservation_violations)
+                    .br()
+                    .num("cycles", s.cycles)
+                    .num("moves", s.moves)
+                    .num("pods_migrated", s.pods_migrated)
+                    .num("units_recovered_micro", s.units_recovered_micro)
+                    .num("disruption_ns", s.disruption_ns)
+                    .br()
+                    .obj("skipped", |o| {
+                        o.num("gain", s.skipped_gain)
+                            .num("guard", s.skipped_guard)
+                            .num("budget", s.skipped_budget)
+                            .num("cost", s.skipped_cost)
+                            .num("unplaceable", s.skipped_unplaceable);
+                    })
+                    .br()
+                    .nums(
+                        "efficiency_hourly",
+                        a.efficiency_series.iter().map(|&e| fixed(e, 4)),
+                    )
+                    .host("wall_s", fixed(a.host_wall_s, 3));
+            })
+            .rows("fleet", 6, &study.fleet, |r, f| {
+                r.str("arm", arm_label(f.defrag))
+                    .num("late_admitted", f.late_admitted)
+                    .num("admit_rejected", f.admit_rejected)
+                    .num("cycles", f.stats.cycles)
+                    .num("moves", f.stats.moves)
+                    .num("units_recovered_micro", f.stats.units_recovered_micro)
+                    .num("disruption_ns", f.stats.disruption_ns)
+                    .num("frames", f.frames);
+            });
+    })
 }
 
 #[cfg(test)]
@@ -579,18 +552,5 @@ mod tests {
             d = defrag.late_admitted,
             p = plain.late_admitted
         );
-    }
-
-    #[test]
-    fn study_is_deterministic() {
-        let a = to_json(&run_defrag_study(true));
-        let b = to_json(&run_defrag_study(true));
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("\"host_"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&a), strip(&b));
     }
 }

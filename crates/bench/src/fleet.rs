@@ -17,9 +17,7 @@
 //!    identical cluster from every home — on the timed fleet and on a
 //!    variant with a mid-fleet decoy whose max-free block matches but
 //!    whose total headroom falls short (the continue-past-decoy path) —
-//!    then times `place` best-of-rounds. Timing numbers ride
-//!    `host_`-prefixed lines; the deterministic fields around them are
-//!    byte-compared across `MICROEDGE_WORKERS` settings by CI.
+//!    then times `place` best-of-rounds (host measurements).
 //!
 //! 2. **Fleet chaos** — whole-cluster failure tiers on a live
 //!    [`ShardedWorld`]: kill 1 / 4 / 16 of the fleet's clusters at the
@@ -34,7 +32,6 @@
     reason = "times the simulator itself; lands on host_ lines"
 )]
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use microedge_cluster::topology::ClusterBuilder;
@@ -46,6 +43,8 @@ use microedge_core::units::TpuUnits;
 use microedge_metrics::recovery::availability_nines;
 use microedge_metrics::report::Table;
 use microedge_sim::time::{SimDuration, SimTime};
+
+use crate::artifact::{self, fixed};
 
 /// Regions the placement-sweep fleet is partitioned into (the chaos tier
 /// sizes its own). The probed streams are homed in
@@ -139,38 +138,18 @@ pub fn sweep_decoy_summaries(clusters: u32) -> Vec<ClusterSummary> {
 /// One fleet size of the placement-throughput sweep.
 #[derive(Debug, Clone)]
 pub struct FleetSweepPoint {
-    clusters: u32,
-    iterations: u32,
-    linear_ns: f64,
-    indexed_ns: f64,
+    /// Fleet size in clusters.
+    pub clusters: u32,
+    /// Home-rotation passes timed per round at this size (placements per
+    /// round = this × [`SWEEP_HOME_ROTATION`]'s length).
+    pub iterations: u32,
+    /// Nanoseconds per placement for the linear fleet scan (pre).
+    pub linear_ns: f64,
+    /// Nanoseconds per placement for the indexed front door (post).
+    pub indexed_ns: f64,
 }
 
 impl FleetSweepPoint {
-    /// Fleet size in clusters.
-    #[must_use]
-    pub fn clusters(&self) -> u32 {
-        self.clusters
-    }
-
-    /// Home-rotation passes timed per round at this size (placements per
-    /// round = this × [`SWEEP_HOME_ROTATION`]'s length).
-    #[must_use]
-    pub fn iterations(&self) -> u32 {
-        self.iterations
-    }
-
-    /// Nanoseconds per placement for the linear fleet scan (pre).
-    #[must_use]
-    pub fn linear_ns(&self) -> f64 {
-        self.linear_ns
-    }
-
-    /// Nanoseconds per placement for the indexed front door (post).
-    #[must_use]
-    pub fn indexed_ns(&self) -> f64 {
-        self.indexed_ns
-    }
-
     /// Indexed placement decisions per second.
     #[must_use]
     pub fn indexed_placements_per_sec(&self) -> f64 {
@@ -187,23 +166,13 @@ impl FleetSweepPoint {
 /// The placement-throughput sweep result.
 #[derive(Debug, Clone)]
 pub struct FleetPerf {
-    rounds: u32,
-    points: Vec<FleetSweepPoint>,
+    /// Rounds each point was timed (best round reported).
+    pub rounds: u32,
+    /// Per-size measurements, ascending cluster count.
+    pub points: Vec<FleetSweepPoint>,
 }
 
 impl FleetPerf {
-    /// Per-size measurements, ascending cluster count.
-    #[must_use]
-    pub fn points(&self) -> &[FleetSweepPoint] {
-        &self.points
-    }
-
-    /// Rounds each point was timed (best round reported).
-    #[must_use]
-    pub fn rounds(&self) -> u32 {
-        self.rounds
-    }
-
     /// Indexed-over-linear speedup at a given fleet size, if measured.
     #[must_use]
     pub fn speedup_at(&self, clusters: u32) -> Option<f64> {
@@ -441,11 +410,11 @@ pub fn render_fleet(perf: &FleetPerf, tiers: &[FleetChaosTier]) -> String {
         "placements/s",
         "speedup",
     ]);
-    for p in perf.points() {
+    for p in &perf.points {
         sweep.row_owned(vec![
-            p.clusters().to_string(),
-            format!("{:.0}", p.linear_ns()),
-            format!("{:.0}", p.indexed_ns()),
+            p.clusters.to_string(),
+            format!("{:.0}", p.linear_ns),
+            format!("{:.0}", p.indexed_ns),
             format!("{:.0}", p.indexed_placements_per_sec()),
             format!("{:.1}x", p.speedup()),
         ]);
@@ -481,91 +450,66 @@ pub fn render_fleet(perf: &FleetPerf, tiers: &[FleetChaosTier]) -> String {
     )
 }
 
-/// Renders the `BENCH_fleet.json` document. Host-dependent measurements
-/// (timings, speedups) ride `host_`-prefixed lines; everything else is a
-/// pure function of the simulated workload and byte-identical across
-/// hosts, runs, and `MICROEDGE_WORKERS` settings.
+/// Renders the `BENCH_fleet.json` document.
 #[must_use]
 pub fn to_json(perf: &FleetPerf, tiers: &[FleetChaosTier]) -> String {
-    let mut points = String::new();
-    for (i, p) in perf.points().iter().enumerate() {
-        let comma = if i + 1 < perf.points().len() { "," } else { "" };
-        let _ = write!(
-            points,
-            "\n      {{\"clusters\": {clusters}, \"regions\": {regions}, \"iterations\": {iters},\n        \
-             \"host_linear_ns\": {lns:.1}, \"host_indexed_ns\": {ins:.1}, \
-             \"host_placements_per_sec\": {pps:.0}, \"host_speedup\": {speedup:.2}}}{comma}",
-            clusters = p.clusters(),
-            regions = SWEEP_REGIONS,
-            iters = p.iterations(),
-            lns = p.linear_ns(),
-            ins = p.indexed_ns(),
-            pps = p.indexed_placements_per_sec(),
-            speedup = p.speedup(),
-        );
-    }
-    let at_4096 = perf
-        .speedup_at(4096)
-        .map_or_else(|| "null".to_owned(), |s| format!("{s:.2}"));
-    let mut chaos = String::new();
-    for (i, t) in tiers.iter().enumerate() {
-        let comma = if i + 1 < tiers.len() { "," } else { "" };
-        let _ = write!(
-            chaos,
-            "\n      {{\"clusters\": {clusters}, \"regions\": {regions}, \"killed\": {killed}, \
-             \"evacuated\": {evacuated}, \"readmitted\": {readmitted}, \"unplaced\": {unplaced}, \
-             \"readmit_failures\": {failures}, \"placed_home\": {home}, \"placed_spill\": {spills}, \
-             \"placed_fallback\": {fallbacks}, \"availability\": {availability:.6}, \
-             \"nines\": {nines:.3}, \"downtime_s\": {downtime:.3}, \"frames\": {frames}, \
-             \"events\": {events}}}{comma}",
-            clusters = t.clusters,
-            regions = t.regions,
-            killed = t.killed,
-            evacuated = t.report.evacuated,
-            readmitted = t.report.readmitted,
-            unplaced = t.report.unplaced,
-            failures = t.report.readmit_failures,
-            home = t.report.placement.home,
-            spills = t.report.placement.spills,
-            fallbacks = t.report.placement.fallbacks,
-            availability = t.availability,
-            nines = t.nines,
-            downtime = t.downtime_s,
-            frames = t.frames,
-            events = t.events,
-        );
-    }
-    format!(
-        "{{\n  \"benchmark\": \"fleet_front_door\",\n  \"placement\": {{\n    \
-         \"workload\": \"{workload}\",\n    \"rounds\": {rounds},\n    \
-         \"host_speedup_at_4096\": {at_4096},\n    \"points\": [{points}\n    ]\n  }},\n  \
-         \"chaos\": {{\n    \"workload\": \"{streams} stream per cluster, kill at {at} ms, \
-         evacuees re-placed at the next epoch barrier\",\n    \"tiers\": [{chaos}\n    ]\n  }}\n}}\n",
-        workload = SWEEP_WORKLOAD,
-        rounds = perf.rounds(),
-        streams = CHAOS_STREAMS_PER_CLUSTER,
-        at = CHAOS_KILL_AT_MS,
-    )
+    artifact::document(|d| {
+        d.str("benchmark", "fleet_front_door")
+            .block("placement", |b| {
+                b.str("workload", SWEEP_WORKLOAD)
+                    .num("rounds", perf.rounds)
+                    .host("speedup_at_4096", perf.speedup_at(4096).map(|s| fixed(s, 2)))
+                    .rows("points", 6, &perf.points, |r, p| {
+                        r.num("clusters", p.clusters)
+                            .num("regions", SWEEP_REGIONS)
+                            .num("iterations", p.iterations)
+                            .host("linear_ns", fixed(p.linear_ns, 1))
+                            .host("indexed_ns", fixed(p.indexed_ns, 1))
+                            .host("placements_per_sec", fixed(p.indexed_placements_per_sec(), 0))
+                            .host("speedup", fixed(p.speedup(), 2));
+                    });
+            })
+            .block("chaos", |b| {
+                b.str(
+                    "workload",
+                    &format!(
+                        "{CHAOS_STREAMS_PER_CLUSTER} stream per cluster, kill at {CHAOS_KILL_AT_MS} ms, \
+                         evacuees re-placed at the next epoch barrier"
+                    ),
+                )
+                .rows("tiers", 6, tiers, |r, t| {
+                    r.num("clusters", t.clusters)
+                        .num("regions", t.regions)
+                        .num("killed", t.killed)
+                        .num("evacuated", t.report.evacuated)
+                        .num("readmitted", t.report.readmitted)
+                        .num("unplaced", t.report.unplaced)
+                        .num("readmit_failures", t.report.readmit_failures)
+                        .num("placed_home", t.report.placement.home)
+                        .num("placed_spill", t.report.placement.spills)
+                        .num("placed_fallback", t.report.placement.fallbacks)
+                        .num("availability", fixed(t.availability, 6))
+                        .num("nines", fixed(t.nines, 3))
+                        .num("downtime_s", fixed(t.downtime_s, 3))
+                        .num("frames", t.frames)
+                        .num("events", t.events);
+                });
+            });
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn strip_host_lines(json: &str) -> String {
-        json.lines()
-            .filter(|l| !l.contains("\"host_"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
+    use crate::artifact::strip_host_lines;
 
     #[test]
     fn sweep_measures_every_size_and_finds_the_far_cluster() {
         let perf = run_fleet_perf_with(&[(64, 50), (256, 50)], 1);
-        assert_eq!(perf.points().len(), 2);
-        for p in perf.points() {
-            assert!(p.linear_ns() > 0.0);
-            assert!(p.indexed_ns() > 0.0);
+        assert_eq!(perf.points.len(), 2);
+        for p in &perf.points {
+            assert!(p.linear_ns > 0.0);
+            assert!(p.indexed_ns > 0.0);
             assert!(p.indexed_placements_per_sec() > 0.0);
         }
         assert!(perf.speedup_at(256).is_some());
@@ -605,7 +549,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_json_is_stable_and_host_lines_strip_clean() {
+    fn fleet_json_keeps_timings_on_host_lines() {
         let perf = run_fleet_perf_with(&[(64, 20)], 1);
         let tiers = run_fleet_chaos(true);
         let json = to_json(&perf, &tiers);
@@ -620,9 +564,6 @@ mod tests {
         let stripped = strip_host_lines(&json);
         assert!(!stripped.contains("_ns"));
         assert!(!stripped.contains("speedup"));
-        // And the deterministic remainder is reproducible.
-        let again = to_json(&run_fleet_perf_with(&[(64, 20)], 1), &run_fleet_chaos(true));
-        assert_eq!(stripped, strip_host_lines(&again));
     }
 
     #[test]

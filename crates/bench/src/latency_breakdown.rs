@@ -6,13 +6,15 @@
 //! the analytic path model (which exists in `microedge-baselines` and is
 //! used here as a cross-check).
 
-use microedge_baselines::serverless::ServerlessPath;
+use microedge_baselines::serverless::{
+    baremetal_invoke_breakdown, microedge_invoke_breakdown, ServerlessPath,
+};
 use microedge_cluster::network::NetworkModel;
 use microedge_core::config::DataPlaneConfig;
 use microedge_core::runtime::StreamSpec;
 use microedge_metrics::latency::Phase;
 use microedge_metrics::report::{fmt_f64, Table};
-use microedge_models::catalog::Catalog;
+use microedge_models::catalog::{fig1_models, Catalog};
 use microedge_sim::time::SimTime;
 use microedge_workloads::apps::CameraApp;
 
@@ -125,6 +127,38 @@ pub fn render_fig7b(frames: u64) -> String {
     format!("### Fig. 7b — Invoke latency breakdown (Coral-Pie)\n{table}")
 }
 
+/// Renders the serverless ablation (ABL1) across the model catalog: each
+/// model's analytic per-invoke latency on bare metal, on MicroEdge's
+/// direct path, and through the serverless shared queue.
+#[must_use]
+pub fn render_serverless_ablation() -> String {
+    let net = NetworkModel::rpi_gigabit();
+    let dp = DataPlaneConfig::calibrated();
+    let path = ServerlessPath::rpi_calibrated();
+    let mut table = Table::new(&[
+        "model",
+        "bare-metal (ms)",
+        "microedge (ms)",
+        "serverless (ms)",
+        "serverless penalty (ms)",
+    ]);
+    for m in fig1_models() {
+        let bare = baremetal_invoke_breakdown(&m, &dp).total().as_millis_f64();
+        let direct = microedge_invoke_breakdown(&m, &net, &dp)
+            .total()
+            .as_millis_f64();
+        let shared = path.invoke_breakdown(&m, &net, &dp).total().as_millis_f64();
+        table.row_owned(vec![
+            m.id().to_string(),
+            fmt_f64(bare, 2),
+            fmt_f64(direct, 2),
+            fmt_f64(shared, 2),
+            fmt_f64(shared - direct, 2),
+        ]);
+    }
+    format!("### Ablation — per-invoke latency by design\n{table}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,5 +198,13 @@ mod tests {
         assert!(text.contains("baseline"));
         assert!(text.contains("microedge w/ w.p."));
         assert!(text.contains("serverless"));
+    }
+
+    #[test]
+    fn serverless_ablation_lists_the_catalog() {
+        let text = render_serverless_ablation();
+        for m in fig1_models() {
+            assert!(text.contains(&m.id().to_string()));
+        }
     }
 }

@@ -25,13 +25,15 @@
 //! | [`netchaos`] | lossy-transport study: QoS classes across loss tiers + flapping partitions |
 //! | [`defrag`] | online defragmentation: packing efficiency vs the L2 bound under 24 h churn |
 //!
-//! The `repro` binary prints every artifact; the Criterion benches under
-//! `benches/` time the underlying computations.
+//! The `repro` binary is the one entry point: it prints every artifact and
+//! writes each study's `BENCH_*.json` through [`artifact`], the writer that
+//! keeps host measurements on `host_` lines of their own. The Criterion
+//! benches under `benches/` time individual operations.
 
 pub mod admission_overhead;
+pub mod artifact;
 pub mod chaos;
 pub mod cost;
-pub mod csv;
 pub mod defrag;
 pub mod diff_detector;
 pub mod fig1;

@@ -20,16 +20,13 @@
 //! dropped + gave_up == sent`, enforced), export goodput and frame-drop
 //! rate, control retransmit overhead, detector false-positive counts and
 //! rates, and suspicion-derived availability nines. Everything but the
-//! `host_`-prefixed wall-clock lines is simulated time: `BENCH_net.json`
-//! is byte-identical across hosts, runs, and `MICROEDGE_WORKERS` settings
-//! once `host_` lines are stripped.
+//! wall-clock is simulated time.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "times the simulator itself; lands on host_ lines"
 )]
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use microedge_cluster::topology::ClusterBuilder;
@@ -40,6 +37,8 @@ use microedge_core::shard::{FleetReport, ShardedWorld};
 use microedge_metrics::recovery::availability_nines;
 use microedge_metrics::report::Table;
 use microedge_sim::time::{SimDuration, SimTime};
+
+use crate::artifact::{self, fixed};
 
 /// Clusters in the chaos fleet (one uplink each).
 pub const NET_CLUSTERS: u32 = 8;
@@ -305,93 +304,77 @@ pub fn render_net_chaos(tiers: &[NetChaosTier]) -> String {
     )
 }
 
-/// Renders the `BENCH_net.json` document. Wall-clock measurements ride
-/// `host_`-prefixed lines; every other field is a pure function of the
-/// simulated workload.
+/// Renders the `BENCH_net.json` document.
 #[must_use]
 pub fn to_json(tiers: &[NetChaosTier]) -> String {
-    let mut body = String::new();
-    for (i, t) in tiers.iter().enumerate() {
-        let comma = if i + 1 < tiers.len() { "," } else { "" };
-        let s = &t.net.stats;
-        let d = &t.net.detection;
-        let _ = write!(
-            body,
-            "\n      {{\"tier\": \"{label}\", \"loss_ppm\": {ppm},\n        \
-             \"control\": {{\"sent\": {cs}, \"delivered\": {cd}, \"dropped\": {cdr}, \
-             \"gave_up\": {cg}, \"retransmits\": {crt}, \"shed\": {csh}}},\n        \
-             \"heartbeat\": {{\"sent\": {hs}, \"delivered\": {hd}, \"dropped\": {hdr}}},\n        \
-             \"telemetry\": {{\"sent\": {ts}, \"delivered\": {td}, \"dropped\": {tdr}, \
-             \"reordered\": {tre}}},\n        \
-             \"goodput\": {goodput:.6}, \"frame_drop_rate\": {drops:.6}, \
-             \"retransmit_overhead\": {rtx:.6},\n        \
-             \"detections\": {det}, \"false_positives\": {fp}, \"fp_rate\": {fpr:.6}, \
-             \"reconciliations\": {rec}, \"suspected_streams\": {sus}, \
-             \"reconciled_streams\": {recs},\n        \
-             \"stale_drains\": {sdr}, \"stale_restores\": {sre}, \
-             \"admit_rejected\": {arej}, \"conservation_violations\": {viol},\n        \
-             \"availability\": {avail:.6}, \"nines\": {nines:.3}, \
-             \"frames\": {frames}, \"events\": {events},\n        \
-             \"host_wall_s\": {wall:.3}}}{comma}",
-            label = t.label,
-            ppm = t.loss_ppm,
-            cs = s.control.sent,
-            cd = s.control.delivered,
-            cdr = s.control.dropped,
-            cg = s.control.gave_up,
-            crt = s.control.retransmits,
-            csh = s.control.shed,
-            hs = s.heartbeat.sent,
-            hd = s.heartbeat.delivered,
-            hdr = s.heartbeat.dropped,
-            ts = s.telemetry.sent,
-            td = s.telemetry.delivered,
-            tdr = s.telemetry.dropped,
-            tre = s.telemetry.reordered,
-            goodput = t.goodput(),
-            drops = t.drop_rate(),
-            rtx = t.retransmit_overhead(),
-            det = d.detections,
-            fp = d.false_positives,
-            fpr = t.fp_rate(),
-            rec = d.reconciliations,
-            sus = d.suspected_streams,
-            recs = d.reconciled_streams,
-            sdr = t.net.stale_drains,
-            sre = t.net.stale_restores,
-            arej = t.report.admit_rejected,
-            viol = s.conservation_violations(),
-            avail = t.availability(),
-            nines = t.nines(),
-            frames = t.frames,
-            events = t.events,
-            wall = t.host_wall_s,
-        );
-    }
-    format!(
-        "{{\n  \"benchmark\": \"net_chaos\",\n  \
-         \"workload\": \"{clusters} clusters / {regions} regions, {exports} exporting cameras \
-         + {late} mid-run admissions; loss tiers {tiers:?} ppm + flapping partitions \
-         (down {down} s > lease)\",\n  \"tiers\": [{body}\n  ]\n}}\n",
-        clusters = NET_CLUSTERS,
-        regions = NET_REGIONS,
-        exports = NET_EXPORT_STREAMS,
-        late = NET_LATE_ADMITS,
-        tiers = LOSS_TIERS_PPM,
-        down = FLAP_DOWN.as_secs_f64(),
-    )
+    artifact::document(|d| {
+        d.str("benchmark", "net_chaos")
+            .str(
+                "workload",
+                &format!(
+                    "{NET_CLUSTERS} clusters / {NET_REGIONS} regions, {NET_EXPORT_STREAMS} exporting \
+                     cameras + {NET_LATE_ADMITS} mid-run admissions; loss tiers {LOSS_TIERS_PPM:?} ppm \
+                     + flapping partitions (down {down} s > lease)",
+                    down = FLAP_DOWN.as_secs_f64(),
+                ),
+            )
+            .rows("tiers", 6, tiers, |r, t| {
+                let s = &t.net.stats;
+                let d = &t.net.detection;
+                r.str("tier", &t.label)
+                    .num("loss_ppm", t.loss_ppm)
+                    .br()
+                    .obj("control", |o| {
+                        o.num("sent", s.control.sent)
+                            .num("delivered", s.control.delivered)
+                            .num("dropped", s.control.dropped)
+                            .num("gave_up", s.control.gave_up)
+                            .num("retransmits", s.control.retransmits)
+                            .num("shed", s.control.shed);
+                    })
+                    .br()
+                    .obj("heartbeat", |o| {
+                        o.num("sent", s.heartbeat.sent)
+                            .num("delivered", s.heartbeat.delivered)
+                            .num("dropped", s.heartbeat.dropped);
+                    })
+                    .br()
+                    .obj("telemetry", |o| {
+                        o.num("sent", s.telemetry.sent)
+                            .num("delivered", s.telemetry.delivered)
+                            .num("dropped", s.telemetry.dropped)
+                            .num("reordered", s.telemetry.reordered);
+                    })
+                    .br()
+                    .num("goodput", fixed(t.goodput(), 6))
+                    .num("frame_drop_rate", fixed(t.drop_rate(), 6))
+                    .num("retransmit_overhead", fixed(t.retransmit_overhead(), 6))
+                    .br()
+                    .num("detections", d.detections)
+                    .num("false_positives", d.false_positives)
+                    .num("fp_rate", fixed(t.fp_rate(), 6))
+                    .num("reconciliations", d.reconciliations)
+                    .num("suspected_streams", d.suspected_streams)
+                    .num("reconciled_streams", d.reconciled_streams)
+                    .br()
+                    .num("stale_drains", t.net.stale_drains)
+                    .num("stale_restores", t.net.stale_restores)
+                    .num("admit_rejected", t.report.admit_rejected)
+                    .num("conservation_violations", s.conservation_violations())
+                    .br()
+                    .num("availability", fixed(t.availability(), 6))
+                    .num("nines", fixed(t.nines(), 3))
+                    .num("frames", t.frames)
+                    .num("events", t.events)
+                    .host("wall_s", fixed(t.host_wall_s, 3));
+            });
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn strip_host_lines(json: &str) -> String {
-        json.lines()
-            .filter(|l| !l.contains("\"host_"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
+    use crate::artifact::strip_host_lines;
 
     #[test]
     fn loss_tiers_degrade_monotonically() {
@@ -418,24 +401,19 @@ mod tests {
     }
 
     #[test]
-    fn net_json_is_worker_invariant_and_host_lines_strip_clean() {
-        let json = |workers: usize| {
-            let tiers = vec![
-                run_net_tier("0.1%", 1_000, loss_schedule(1_000), true, workers),
-                run_net_tier("flapping", 0, flapping_schedule(true), true, workers),
-            ];
-            to_json(&tiers)
-        };
-        let one = json(1);
-        assert!(one.contains("\"benchmark\": \"net_chaos\""));
-        assert!(one.contains("\"conservation_violations\": 0"));
-        assert!(one.ends_with("}\n"));
+    fn net_json_keeps_wall_time_on_host_lines() {
+        let tiers = vec![
+            run_net_tier("0.1%", 1_000, loss_schedule(1_000), true, 1),
+            run_net_tier("flapping", 0, flapping_schedule(true), true, 1),
+        ];
+        let json = to_json(&tiers);
+        assert!(json.contains("\"benchmark\": \"net_chaos\""));
+        assert!(json.contains("\"conservation_violations\": 0"));
+        assert!(json.ends_with("}\n"));
         assert_eq!(
-            one.matches(['{', '[']).count(),
-            one.matches(['}', ']']).count()
+            json.matches(['{', '[']).count(),
+            json.matches(['}', ']']).count()
         );
-        let stripped = strip_host_lines(&one);
-        assert!(!stripped.contains("wall"));
-        assert_eq!(stripped, strip_host_lines(&json(8)));
+        assert!(!strip_host_lines(&json).contains("wall"));
     }
 }

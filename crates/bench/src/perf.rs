@@ -2,19 +2,10 @@
 //!
 //! Times the simulation kernel on a fixed reference workload — the five
 //! Fig. 6 configurations replayed over the 60-minute downsized trace
-//! (seed 42, 6 TPUs) — and compares against the pre-overhaul kernel's
-//! numbers recorded on the same workload. The configurations are run
-//! *serially* here, on purpose: the harness measures single-thread kernel
-//! throughput, not the parallel sweep.
-//!
-//! Two events/sec figures are reported. The overhaul removed the
-//! per-frame `Complete` event class (completions are recorded inline when
-//! their timing is decided), so the same replay now delivers ~25 % fewer
-//! events while producing identical results. The *raw* rate divides the
-//! current event count by wall-clock; the *pre-PR-equivalent* rate divides
-//! the pre-overhaul event count for this exact workload by the current
-//! wall-clock, which is the honest like-for-like throughput comparison —
-//! the work done (same trace, same decisions, same outputs) is unchanged.
+//! (seed 42, 6 TPUs) — and writes `BENCH_kernel.json`. The configurations
+//! are run *serially* here, on purpose: the harness measures single-thread
+//! kernel throughput, not the parallel sweep. Event counts are
+//! deterministic; every wall-clock figure is a `host_` field.
 
 #![expect(
     clippy::disallowed_methods,
@@ -27,15 +18,8 @@ use std::time::Instant;
 use microedge_sim::time::SimDuration;
 use microedge_workloads::trace::{synthesize, TraceConfig};
 
+use crate::artifact::{self, fixed};
 use crate::trace_study::{fig6_configs, run_trace};
-
-/// Wall-clock for the reference workload on the pre-overhaul kernel
-/// (best of 3 on the development host, release profile).
-pub const PRE_PR_WALL_S: f64 = 0.520;
-
-/// Events the pre-overhaul kernel delivered for the reference workload
-/// (deterministic; the count is exact, not a measurement).
-pub const PRE_PR_EVENTS: u64 = 8_145_757;
 
 /// One configuration's timing within the reference replay.
 #[derive(Debug, Clone)]
@@ -62,53 +46,31 @@ pub struct KernelPerf {
 }
 
 impl KernelPerf {
-    /// Raw throughput: current events over current wall-clock.
+    /// Throughput: events over wall-clock.
     #[must_use]
     pub fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.wall_s
     }
 
-    /// Pre-PR-equivalent throughput: the pre-overhaul event count for this
-    /// workload over the current wall-clock (see module docs).
-    #[must_use]
-    pub fn equivalent_events_per_sec(&self) -> f64 {
-        PRE_PR_EVENTS as f64 / self.wall_s
-    }
-
-    /// Wall-clock speedup over the pre-overhaul kernel.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        PRE_PR_WALL_S / self.wall_s
-    }
-
     /// Renders the `BENCH_kernel.json` document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut configs = String::new();
-        for (i, c) in self.per_config.iter().enumerate() {
-            let comma = if i + 1 < self.per_config.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = write!(
-                configs,
-                "\n    {{\"config\": \"{}\", \"wall_s\": {:.6}, \"events\": {}}}{comma}",
-                c.config, c.wall_s, c.events
-            );
-        }
-        format!(
-            "{{\n  \"benchmark\": \"fig6_trace_study_kernel\",\n  \"workload\": \"60-min downsized trace, seed 42, 6 TPUs, 5 configs, serial\",\n  \"rounds\": {rounds},\n  \"pre_pr\": {{\n    \"wall_s\": {pre_wall:.6},\n    \"events\": {pre_events},\n    \"events_per_sec\": {pre_eps:.0}\n  }},\n  \"current\": {{\n    \"wall_s\": {wall:.6},\n    \"events\": {events},\n    \"events_per_sec\": {eps:.0},\n    \"pre_pr_equivalent_events_per_sec\": {eq_eps:.0}\n  }},\n  \"speedup_wall\": {speedup:.2},\n  \"per_config\": [{configs}\n  ]\n}}\n",
-            rounds = self.rounds,
-            pre_wall = PRE_PR_WALL_S,
-            pre_events = PRE_PR_EVENTS,
-            pre_eps = PRE_PR_EVENTS as f64 / PRE_PR_WALL_S,
-            wall = self.wall_s,
-            events = self.events,
-            eps = self.events_per_sec(),
-            eq_eps = self.equivalent_events_per_sec(),
-            speedup = self.speedup(),
-        )
+        artifact::document(|d| {
+            d.str("benchmark", "fig6_trace_study_kernel")
+                .str(
+                    "workload",
+                    "60-min downsized trace, seed 42, 6 TPUs, 5 configs, serial",
+                )
+                .num("rounds", self.rounds)
+                .num("events", self.events)
+                .host("wall_s", fixed(self.wall_s, 6))
+                .host("events_per_sec", fixed(self.events_per_sec(), 0))
+                .rows("per_config", 4, &self.per_config, |r, c| {
+                    r.str("config", &c.config)
+                        .num("events", c.events)
+                        .host("wall_s", fixed(c.wall_s, 6));
+                });
+        })
     }
 
     /// Renders the human-readable summary `repro --perf` prints.
@@ -116,18 +78,11 @@ impl KernelPerf {
     pub fn render_summary(&self) -> String {
         let mut out = format!(
             "### Kernel perf — Fig. 6 trace study, best of {} rounds (serial)\n\
-             pre-PR kernel : {:.3} s, {} events ({:.1}M ev/s)\n\
-             this kernel   : {:.3} s, {} events ({:.1}M ev/s raw, {:.1}M ev/s pre-PR-equivalent)\n\
-             wall speedup  : {:.2}x\n",
+             kernel : {:.3} s, {} events ({:.1}M ev/s)\n",
             self.rounds,
-            PRE_PR_WALL_S,
-            PRE_PR_EVENTS,
-            PRE_PR_EVENTS as f64 / PRE_PR_WALL_S / 1e6,
             self.wall_s,
             self.events,
             self.events_per_sec() / 1e6,
-            self.equivalent_events_per_sec() / 1e6,
-            self.speedup(),
         );
         for c in &self.per_config {
             let _ = writeln!(
@@ -184,7 +139,7 @@ pub fn run_kernel_perf_with(
 }
 
 /// Times the reference workload: the 60-minute downsized trace, seed 42,
-/// 6 TPUs — the workload [`PRE_PR_WALL_S`] and [`PRE_PR_EVENTS`] describe.
+/// 6 TPUs.
 #[must_use]
 pub fn run_kernel_perf(rounds: u32) -> KernelPerf {
     let mut cfg = TraceConfig::microedge_downsized();
@@ -195,6 +150,7 @@ pub fn run_kernel_perf(rounds: u32) -> KernelPerf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::strip_host_lines;
 
     fn quick_perf() -> KernelPerf {
         let mut cfg = TraceConfig::microedge_downsized();
@@ -215,13 +171,19 @@ mod tests {
     }
 
     #[test]
-    fn json_has_both_throughput_definitions() {
+    fn json_keeps_timings_on_host_lines() {
         let perf = quick_perf();
         let json = perf.to_json();
-        assert!(json.contains("\"pre_pr\""));
-        assert!(json.contains("\"events_per_sec\""));
-        assert!(json.contains("\"pre_pr_equivalent_events_per_sec\""));
-        assert!(json.contains("\"speedup_wall\""));
+        assert!(json.contains("\"host_wall_s\""));
+        assert!(json.contains("\"host_events_per_sec\""));
+        let stripped = strip_host_lines(&json);
+        assert!(!stripped.contains("wall") && !stripped.contains("per_sec"));
+        for c in &perf.per_config {
+            assert!(stripped.contains(&format!(
+                "{{\"config\": \"{}\", \"events\": {},",
+                c.config, c.events
+            )));
+        }
         assert!(json.ends_with("}\n"));
     }
 
@@ -232,6 +194,5 @@ mod tests {
         for c in &perf.per_config {
             assert!(text.contains(&c.config));
         }
-        assert!(text.contains("speedup"));
     }
 }

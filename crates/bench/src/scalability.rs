@@ -179,11 +179,11 @@ pub fn render_admission_scalability(perf: &crate::admission_overhead::AdmissionP
         "indexed plans/s",
         "speedup",
     ]);
-    for p in perf.points() {
+    for p in &perf.points {
         table.row_owned(vec![
-            p.tpus().to_string(),
-            fmt_f64(p.linear_ns(), 0),
-            fmt_f64(p.indexed_ns(), 0),
+            p.tpus.to_string(),
+            fmt_f64(p.linear_ns, 0),
+            fmt_f64(p.indexed_ns, 0),
             fmt_f64(p.indexed_plans_per_sec(), 0),
             format!("{:.1}x", p.speedup()),
         ]);
@@ -191,8 +191,8 @@ pub fn render_admission_scalability(perf: &crate::admission_overhead::AdmissionP
     format!(
         "### Admission scalability — indexed pool vs linear scan (best of {} rounds)\n{table}\n\
          workload: {}\n",
-        perf.rounds(),
-        perf.workload(),
+        perf.rounds,
+        crate::admission_overhead::ADMISSION_WORKLOAD,
     )
 }
 

@@ -8,16 +8,9 @@
 //! plane, and reports the kernel's throughput alongside the footprint of
 //! the run's telemetry.
 //!
-//! Two kinds of numbers come out:
-//!
-//! - **Deterministic** (stream/frame/event counts, telemetry bytes) — these
-//!   go into `BENCH_scale.json`, which is byte-identical across runs and
-//!   `MICROEDGE_WORKERS` settings; CI diffs it.
-//! - **Host measurements** (wall-clock, events/sec, peak RSS from
-//!   `/proc/self/status`) — these appear in the rendered table and, so the
-//!   perf trajectory is captured over time, in the JSON under `host_`-
-//!   prefixed keys on their own lines. CI strips those lines
-//!   (`grep -v '"host_'`) before byte-comparing artifacts.
+//! Stream, frame and event counts and telemetry bytes are deterministic;
+//! wall-clock, events/sec and peak RSS (from `/proc/self/status`) are host
+//! measurements.
 //!
 //! The telemetry footprint is the point: per-frame latency distributions
 //! are held in constant-memory log-linear sketches
@@ -31,7 +24,6 @@
     reason = "times the simulator itself; lands on host_ lines"
 )]
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use microedge_cluster::topology::ClusterBuilder;
@@ -228,68 +220,7 @@ pub fn run_scale(quick: bool) -> ScaleStudy {
     }
 }
 
-/// The host's core count, recorded on every `host_` line so a reader can
-/// tell how many threads really ran (`host_workers` may exceed it).
-pub(crate) fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Formats an optional byte count as a JSON number or `null`.
-pub(crate) fn json_opt_u64(value: Option<u64>) -> String {
-    value.map_or_else(|| "null".to_owned(), |v| v.to_string())
-}
-
 impl ScaleStudy {
-    /// Renders this study's `"points"` array body: per point, one line of
-    /// deterministic fields followed by one line of `host_`-prefixed
-    /// measurements. CI drops the host lines (`grep -v '"host_'`) before
-    /// byte-comparing, so determinism checks and the recorded perf
-    /// trajectory coexist in one file.
-    #[must_use]
-    pub fn points_json(&self) -> String {
-        let mut points = String::new();
-        for (i, p) in self.points.iter().enumerate() {
-            let comma = if i + 1 < self.points.len() { "," } else { "" };
-            let _ = write!(
-                points,
-                "\n    {{\"streams\": {}, \"tpus\": {}, \"nodes\": {}, \"frames\": {}, \"events\": {}, \"telemetry_bytes\": {}, \"telemetry_bytes_per_stream\": {:.3},\n      \"host_events_per_sec\": {:.1}, \"host_replay_wall_s\": {:.3}, \"host_cores\": {}, \"host_peak_rss_bytes\": {}}}{comma}",
-                p.streams,
-                p.tpus,
-                p.nodes,
-                p.frames,
-                p.events,
-                p.telemetry_bytes,
-                p.telemetry_bytes_per_stream(),
-                p.events_per_sec(),
-                p.run_wall_s,
-                host_cores(),
-                json_opt_u64(p.peak_rss_bytes),
-            );
-        }
-        points
-    }
-
-    /// Renders the serial half of the `BENCH_scale.json` document.
-    /// Deterministic fields are byte-identical across runs and worker
-    /// settings; host measurements live on dedicated `host_` lines the CI
-    /// compare strips (see [`ScaleStudy::points_json`]). The `repro`
-    /// binary appends the sharded study before the closing brace via
-    /// [`crate::scale_sharded::render_bench_json`].
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"benchmark\": \"scale_out_study\",\n  \"workload\": \"N cameras x {frames} frames at {fps} FPS, ssd-mobilenet-v2, {config}\",\n  \"sketch_relative_error\": {err},\n  \"telemetry_invariance\": {{\"streams\": {inv_streams}, \"bytes_at_1x_frames\": {inv_1x}, \"bytes_at_2x_frames\": {inv_2x}}},\n  \"points\": [{points}\n  ]\n}}\n",
-            frames = self.frame_limit,
-            fps = SCALE_FPS,
-            config = SystemConfig::microedge_full().label(),
-            err = SKETCH_RELATIVE_ERROR,
-            inv_streams = self.invariance.streams,
-            inv_1x = self.invariance.bytes_at_1x_frames,
-            inv_2x = self.invariance.bytes_at_2x_frames,
-            points = self.points_json(),
-        )
-    }
-
     /// Renders the human table `repro --scale` prints (wall-clock, replay
     /// throughput, and peak RSS included).
     #[must_use]
@@ -368,39 +299,6 @@ mod tests {
             "sketch telemetry must not grow with frames"
         );
         assert!(long.frames > short.frames);
-    }
-
-    /// The CI filter: the artifact with every `host_` measurement line
-    /// removed — exactly what `scripts/check.sh` byte-compares.
-    fn strip_host_lines(json: &str) -> String {
-        json.lines()
-            .filter(|l| !l.contains("\"host_"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    #[test]
-    fn json_is_deterministic_once_host_lines_are_stripped() {
-        let study = run_scale(true);
-        let again = run_scale(true);
-        assert_eq!(
-            strip_host_lines(&study.to_json()),
-            strip_host_lines(&again.to_json()),
-            "filtered JSON must be byte-identical"
-        );
-        let json = study.to_json();
-        // Host measurements are present, but only on their own host_ lines
-        // so the CI grep filter removes every one of them.
-        assert!(json.contains("\"host_events_per_sec\""));
-        let filtered = strip_host_lines(&json);
-        assert!(!filtered.contains("wall"), "host fields leak: {filtered}");
-        assert!(!filtered.contains("rss"));
-        assert!(json.contains("\"telemetry_invariance\""));
-        assert_eq!(
-            study.invariance.bytes_at_1x_frames,
-            study.invariance.bytes_at_2x_frames
-        );
-        assert!(json.ends_with("}\n"));
     }
 
     #[test]

@@ -9,19 +9,14 @@
 //! size; the exchange and barrier bookkeeping are what that costs. Every
 //! `EXPORT_STRIDE`-th camera additionally announces its completions to the
 //! neighbouring shard, so the cross-shard exchange path is exercised at
-//! full scale, not just in unit tests.
-//!
-//! The split between deterministic JSON fields and `host_`-prefixed
-//! measurement lines follows [`crate::scale`]: CI strips `host_` lines
-//! before byte-comparing `BENCH_scale.json` across `MICROEDGE_WORKERS`
-//! settings.
+//! full scale, not just in unit tests. [`to_json`] writes both studies
+//! into `BENCH_scale.json`.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "times the simulator itself; lands on host_ lines"
 )]
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use microedge_cluster::topology::ClusterBuilder;
@@ -32,10 +27,11 @@ use microedge_metrics::report::Table;
 use microedge_sim::par;
 use microedge_sim::time::{SimDuration, SimTime};
 
-use crate::scale::{
-    host_cores, json_opt_u64, peak_rss_bytes, size_cluster, ScaleStudy, SCALE_FPS,
-    SCALE_FRAME_LIMIT,
-};
+use microedge_sim::stats::SKETCH_RELATIVE_ERROR;
+
+use crate::artifact::{self, fixed};
+use crate::runner::SystemConfig;
+use crate::scale::{peak_rss_bytes, size_cluster, ScaleStudy, SCALE_FPS, SCALE_FRAME_LIMIT};
 
 /// Every `EXPORT_STRIDE`-th camera of each shard export-flags its
 /// completions, generating deterministic cross-shard traffic at every
@@ -196,42 +192,6 @@ pub fn run_scale_sharded(quick: bool) -> ShardedScaleStudy {
 }
 
 impl ShardedScaleStudy {
-    /// Renders this study's JSON object (the `"sharded"` section of
-    /// `BENCH_scale.json`), with `host_` measurement lines the CI compare
-    /// strips, like [`ScaleStudy::points_json`].
-    #[must_use]
-    pub fn to_json_object(&self) -> String {
-        let mut points = String::new();
-        for (i, p) in self.points.iter().enumerate() {
-            let comma = if i + 1 < self.points.len() { "," } else { "" };
-            let _ = write!(
-                points,
-                "\n      {{\"streams\": {}, \"shards\": {}, \"tpus\": {}, \"nodes\": {}, \"frames\": {}, \"events\": {}, \"exports\": {}, \"telemetry_bytes\": {},\n        \"host_events_per_sec\": {:.1}, \"host_replay_wall_s\": {:.3}, \"host_workers\": {}, \"host_cores\": {}, \"host_peak_rss_bytes\": {}}}{comma}",
-                p.streams,
-                p.shards,
-                p.tpus,
-                p.nodes,
-                p.frames,
-                p.events,
-                p.exports,
-                p.telemetry_bytes,
-                p.events_per_sec(),
-                p.run_wall_s,
-                p.workers,
-                host_cores(),
-                json_opt_u64(p.peak_rss_bytes),
-            );
-        }
-        format!(
-            "{{\n    \"workload\": \"N cameras x {frames} frames at {fps} FPS over K cluster shards, every {stride}th stream exported cross-shard\",\n    \"epoch_ms\": {epoch},\n    \"export_stride\": {stride},\n    \"points\": [{points}\n    ]\n  }}",
-            frames = self.frame_limit,
-            fps = SCALE_FPS,
-            stride = EXPORT_STRIDE,
-            epoch = EPOCH.as_millis_f64(),
-            points = points,
-        )
-    }
-
     /// Renders the human table `repro --scale` prints for the sharded
     /// sweep (host measurements included).
     #[must_use]
@@ -279,36 +239,75 @@ impl ShardedScaleStudy {
     }
 }
 
-/// Renders the complete `BENCH_scale.json`: the serial study document with
-/// the sharded study spliced in as its `"sharded"` section.
-///
-/// # Panics
-///
-/// Panics if the serial document does not end with its closing brace
-/// (which would mean [`ScaleStudy::to_json`] changed shape).
+/// Renders `BENCH_scale.json`: the serial study, with the sharded study
+/// as its `"sharded"` section.
 #[must_use]
-pub fn render_bench_json(serial: &ScaleStudy, sharded: &ShardedScaleStudy) -> String {
-    let serial_doc = serial.to_json();
-    let base = serial_doc
-        .strip_suffix("}\n")
-        .expect("serial JSON ends with its closing brace");
-    format!(
-        "{base},\n  \"sharded\": {object}\n}}\n",
-        base = base.trim_end(),
-        object = sharded.to_json_object(),
-    )
+pub fn to_json(serial: &ScaleStudy, sharded: &ShardedScaleStudy) -> String {
+    artifact::document(|d| {
+        d.str("benchmark", "scale_out_study")
+            .str(
+                "workload",
+                &format!(
+                    "N cameras x {frames} frames at {SCALE_FPS} FPS, ssd-mobilenet-v2, {config}",
+                    frames = serial.frame_limit,
+                    config = SystemConfig::microedge_full().label(),
+                ),
+            )
+            .num("sketch_relative_error", SKETCH_RELATIVE_ERROR)
+            .obj("telemetry_invariance", |o| {
+                let inv = &serial.invariance;
+                o.num("streams", inv.streams)
+                    .num("bytes_at_1x_frames", inv.bytes_at_1x_frames)
+                    .num("bytes_at_2x_frames", inv.bytes_at_2x_frames);
+            })
+            .rows("points", 4, &serial.points, |r, p| {
+                r.num("streams", p.streams)
+                    .num("tpus", p.tpus)
+                    .num("nodes", p.nodes)
+                    .num("frames", p.frames)
+                    .num("events", p.events)
+                    .num("telemetry_bytes", p.telemetry_bytes)
+                    .num(
+                        "telemetry_bytes_per_stream",
+                        fixed(p.telemetry_bytes_per_stream(), 3),
+                    )
+                    .host("events_per_sec", fixed(p.events_per_sec(), 1))
+                    .host("replay_wall_s", fixed(p.run_wall_s, 3))
+                    .host("peak_rss_bytes", p.peak_rss_bytes);
+            })
+            .block("sharded", |b| {
+                b.str(
+                    "workload",
+                    &format!(
+                        "N cameras x {frames} frames at {SCALE_FPS} FPS over K cluster shards, \
+                         every {EXPORT_STRIDE}th stream exported cross-shard",
+                        frames = sharded.frame_limit,
+                    ),
+                )
+                .num("epoch_ms", EPOCH.as_millis_f64())
+                .num("export_stride", EXPORT_STRIDE)
+                .rows("points", 6, &sharded.points, |r, p| {
+                    r.num("streams", p.streams)
+                        .num("shards", p.shards)
+                        .num("tpus", p.tpus)
+                        .num("nodes", p.nodes)
+                        .num("frames", p.frames)
+                        .num("events", p.events)
+                        .num("exports", p.exports)
+                        .num("telemetry_bytes", p.telemetry_bytes)
+                        .host("events_per_sec", fixed(p.events_per_sec(), 1))
+                        .host("replay_wall_s", fixed(p.run_wall_s, 3))
+                        .host("workers", p.workers)
+                        .host("peak_rss_bytes", p.peak_rss_bytes);
+                });
+            });
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn strip_host_lines(json: &str) -> String {
-        json.lines()
-            .filter(|l| !l.contains("\"host_"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
+    use crate::artifact::strip_host_lines;
 
     #[test]
     fn sharded_point_completes_every_frame_and_routes_exports() {
@@ -324,37 +323,30 @@ mod tests {
     }
 
     #[test]
-    fn artifacts_are_byte_identical_across_worker_counts() {
-        let study_at = |workers| ShardedScaleStudy {
-            frame_limit: 3,
-            points: vec![run_sharded_point_with_workers(64, 4, 3, workers)],
-        };
-        let serial = strip_host_lines(&study_at(1).to_json_object());
-        for workers in [2, 8] {
-            assert_eq!(
-                serial,
-                strip_host_lines(&study_at(workers).to_json_object()),
-                "sharded artifact diverged at {workers} workers"
-            );
-        }
-    }
-
-    #[test]
     fn bench_json_contains_both_studies() {
         let serial = crate::scale::run_scale(true);
         let sharded = ShardedScaleStudy {
             frame_limit: 3,
             points: vec![run_sharded_point_with_workers(32, 2, 3, 1)],
         };
-        let json = render_bench_json(&serial, &sharded);
+        let json = to_json(&serial, &sharded);
         assert!(json.contains("\"points\""));
         assert!(json.contains("\"sharded\""));
         assert!(json.contains("\"export_stride\""));
+        assert!(json.contains("\"telemetry_invariance\""));
+        assert_eq!(
+            serial.invariance.bytes_at_1x_frames,
+            serial.invariance.bytes_at_2x_frames
+        );
         assert!(json.ends_with("}\n"));
-        // Braces balance: the splice produced one well-formed document.
         let opens = json.matches(['{', '[']).count();
         let closes = json.matches(['}', ']']).count();
         assert_eq!(opens, closes);
+        // Host measurements are present, but only on their own host_ lines.
+        assert!(json.contains("\"host_events_per_sec\""));
+        let filtered = strip_host_lines(&json);
+        assert!(!filtered.contains("wall"), "host fields leak: {filtered}");
+        assert!(!filtered.contains("rss"));
     }
 
     #[test]

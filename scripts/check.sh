@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI-style gate: formatting, the source and manifest gates clippy cannot
 # express, clippy -D warnings, the microedge-core panic-site ratchet, rustdoc
-# links, build, the test suite, and the five artifact determinism gates
-# (chaos, scale, fleet, net, defrag). LINTS.md maps each rule to its gate.
-# Run from anywhere inside the repo.
+# links, build, the test suite, and the repro determinism gate (the paper
+# artifacts' stdout and all seven BENCH_*.json at 1 and 8 workers). LINTS.md
+# maps each rule to its gate. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
@@ -61,31 +61,25 @@ echo "==> cargo test"
 cargo test --quiet --workspace
 
 # Benchmark artifacts mix deterministic simulation output with host
-# measurements (events/s, wall time, RSS, worker count, speedups).
-# Measurement lines carry "host_" keys on their own lines; strip them and
-# the rest must be byte-identical across worker counts.
-strip_host_lines() {
-  grep -v '"host_' "$1"
-}
-
-# Compares one artifact produced under two MICROEDGE_WORKERS settings,
-# host_ lines stripped: assert_deterministic_artifact <name> <dir_a> <dir_b>
-assert_deterministic_artifact() {
-  local name="$1" a="$2" b="$3"
-  strip_host_lines "$a/$name" > "$a/$name.filtered"
-  strip_host_lines "$b/$name" > "$b/$name.filtered"
-  cmp "$a/$name.filtered" "$b/$name.filtered"
-}
-
+# measurements (wall time, events/s, RSS, worker and core counts), which
+# crates/bench/src/artifact.rs writes on "host_" lines of their own. One
+# repro run per worker count writes every study's artifact; with host lines
+# stripped, each must be byte-identical across worker counts, and so must
+# the default --quick stdout.
 artifacts="$(mktemp -d)"
 trap 'rm -rf "$artifacts"' EXIT
-
-# BENCH_chaos.json has no host_ lines, so stripping them is a no-op there.
-for study in chaos scale fleet net defrag; do
-  echo "==> $study smoke + determinism (repro --$study --quick)"
-  MICROEDGE_WORKERS=1 cargo run --release -p microedge-bench --bin repro -- "--$study" --quick --csv "$artifacts/a"
-  MICROEDGE_WORKERS=8 cargo run --release -p microedge-bench --bin repro -- "--$study" --quick --csv "$artifacts/b"
-  assert_deterministic_artifact "BENCH_$study.json" "$artifacts/a" "$artifacts/b"
+for workers in 1 8; do
+  echo "==> repro --quick, then every study --quick (MICROEDGE_WORKERS=$workers)"
+  MICROEDGE_WORKERS=$workers cargo run --quiet --release -p microedge-bench --bin repro -- \
+    --quick > "$artifacts/stdout.$workers"
+  MICROEDGE_WORKERS=$workers cargo run --quiet --release -p microedge-bench --bin repro -- \
+    --chaos --scale --fleet --net --defrag --perf --quick --csv "$artifacts/$workers" > /dev/null
+done
+echo "==> determinism: stdout and host_-stripped artifacts at 1 vs 8 workers"
+cmp "$artifacts/stdout.1" "$artifacts/stdout.8"
+for name in chaos kernel admission scale fleet net defrag; do
+  cmp <(grep -v '"host_' "$artifacts/1/BENCH_$name.json") \
+    <(grep -v '"host_' "$artifacts/8/BENCH_$name.json")
 done
 
 echo "All checks passed."

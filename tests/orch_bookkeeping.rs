@@ -3,12 +3,13 @@
 //! selectors), deletion, node failure and node repair, checked after every
 //! step against a plain reference model.
 //!
-//! The orchestrator keeps a pod's spec in one record slab indexed by pod id,
-//! while its allocation state keeps only the node, the requests and the
-//! anti-affinity group of each bound pod. These tests pin that the two
-//! stores never drift apart: node capacity is conserved, every lookup agrees
-//! with the model, and the anti-affinity index matches a recomputation from
-//! the running pods' specs.
+//! The orchestrator keeps a pod's spec and node in one record slab indexed
+//! by pod id, while its allocation state keeps no per-pod state at all:
+//! each node's available resources, its anti-affinity group counts, and a
+//! total of bound pods. These tests pin that the two stores never drift
+//! apart: node capacity is conserved, every lookup agrees with the model,
+//! and the anti-affinity index matches a recomputation from the running
+//! pods' specs.
 
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
