@@ -440,12 +440,12 @@ pub fn run_admission_perf(rounds: u32) -> AdmissionPerf {
     run_admission_perf_with(&ADMISSION_SWEEP, rounds)
 }
 
-/// Renders the Fig. 7a table.
+/// Renders the Fig. 7a table from the rows [`run_overhead`] computed over
+/// `samples` launches.
 #[must_use]
-pub fn render_fig7a(samples: u32, seed: u64) -> String {
-    let rows = run_overhead(samples, seed);
+pub fn render_fig7a(rows: &[OverheadStats], samples: u32) -> String {
     let mut table = Table::new(&["config", "mean launch (ms)", "std (ms)", "overhead"]);
-    for r in &rows {
+    for r in rows {
         table.row_owned(vec![
             r.label().to_owned(),
             fmt_f64(r.mean_ms(), 1),
@@ -559,7 +559,7 @@ mod tests {
 
     #[test]
     fn render_has_three_rows() {
-        let text = render_fig7a(500, 3);
+        let text = render_fig7a(&run_overhead(500, 3), 500);
         assert!(text.contains("native k3s"));
         assert!(text.contains("microedge + co-compile"));
         assert!(text.contains("µs per decision"));

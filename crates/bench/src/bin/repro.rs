@@ -12,7 +12,9 @@
 //! series as CSV for external plotting.
 //!
 //! The studies write `BENCH_*.json` (to the `--csv` directory if given,
-//! else the working directory) through [`microedge_bench::artifact`]:
+//! else the working directory; a `--quick` study needs `--csv`, so a smoke
+//! pass never replaces a committed artifact) through
+//! [`microedge_bench::artifact`]:
 //! `--chaos` the fault-injection study (`BENCH_chaos.json`, simulated time
 //! only), `--perf` the kernel and admission-planning harnesses
 //! (`BENCH_kernel.json`, `BENCH_admission.json`; it also runs the scale
@@ -140,8 +142,17 @@ impl Output {
     }
 
     /// Writes the BENCH files, and under `--csv` the CSV series, into
-    /// `csv_dir` or else the working directory.
-    fn write(&self, csv_dir: Option<&Path>) -> io::Result<()> {
+    /// `csv_dir` or else the working directory. A `--quick` run's BENCH
+    /// files go only to an explicit `csv_dir`: in the repo root they would
+    /// replace the committed full-mode artifacts, so without one nothing is
+    /// written and the call fails.
+    fn write(&self, csv_dir: Option<&Path>, quick: bool) -> io::Result<()> {
+        if let (true, None, Some((name, _))) = (quick, csv_dir, self.bench.first()) {
+            return Err(io::Error::other(format!(
+                "refusing to write {name} from a --quick run into the working directory; \
+                 pass --csv <dir>"
+            )));
+        }
         let csv: &[_] = if csv_dir.is_some() { &self.csv } else { &[] };
         let dir = csv_dir.unwrap_or(Path::new("."));
         for (name, body) in csv.iter().chain(&self.bench) {
@@ -290,9 +301,10 @@ fn fig7a(quick: bool) -> Output {
     use bench::admission_overhead::{render_fig7a, run_overhead};
     let mut out = Output::default();
     let samples = if quick { 500 } else { 5000 };
-    out.print(render_fig7a(samples, 42));
+    let rows = run_overhead(samples, 42);
+    out.print(render_fig7a(&rows, samples));
     let header = "config,mean_ms,std_ms,overhead_pct";
-    out.csv("fig7a", header, &run_overhead(samples, 42), |r| {
+    out.csv("fig7a", header, &rows, |r| {
         vec![
             r.label().to_owned(),
             format!("{:.1}", r.mean_ms()),
@@ -456,7 +468,7 @@ fn main() -> ExitCode {
     for (artifact, done) in selected.iter().zip(outputs) {
         let out = done.unwrap_or_else(|| (artifact.run)(quick));
         print!("{}", out.text);
-        if let Err(e) = out.write(csv_dir.as_deref()) {
+        if let Err(e) = out.write(csv_dir.as_deref(), quick) {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }

@@ -21,7 +21,7 @@
     reason = "times the simulator itself; lands on host_ lines"
 )]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use microedge_cluster::topology::ClusterBuilder;
@@ -182,7 +182,6 @@ pub fn run_churn_arm(trace: &[Vec<Op>], tpus: u32, defrag: bool) -> DefragArm {
         ..DefragConfig::default()
     };
     let mut stats = DefragStats::default();
-    let frozen: BTreeSet<PodId> = BTreeSet::new();
 
     // Live pods keyed by arrival ordinal; values carry the pod id and the
     // admitted micro-units (the conservation ledger's expected side).
@@ -220,7 +219,7 @@ pub fn run_churn_arm(trace: &[Vec<Op>], tpus: u32, defrag: bool) -> DefragArm {
             }
         }
         if defrag && (round as u32).is_multiple_of(DEFRAG_EVERY_ROUNDS) {
-            run_cycle(&mut sched, &frozen, &config, &mut stats);
+            run_cycle(&mut sched, |_| false, &config, &mut stats);
         }
 
         // Per-round audit: the pool's committed load must equal the live

@@ -45,6 +45,29 @@ fn an_unknown_flag_exits_2() {
 }
 
 #[test]
+fn a_quick_study_without_csv_writes_nothing_and_fails() {
+    let dir = scratch("quick-no-csv");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--chaos", "--quick"])
+        .current_dir(&dir)
+        .output()
+        .expect("repro starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("refusing to write BENCH_chaos.json"),
+        "{stderr}"
+    );
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "a file was written"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn a_good_run_writes_every_selected_bench_file() {
     let dir = scratch("good");
     let out = repro(&[

@@ -38,8 +38,6 @@
 //! assert!(config.min_gain > TpuUnits::ZERO);
 //! ```
 
-use std::collections::BTreeSet;
-
 use microedge_metrics::defrag::DefragStats;
 use microedge_orch::pod::PodId;
 use microedge_sim::time::SimDuration;
@@ -167,9 +165,16 @@ pub fn move_cost(plan: &EvictPlan, sched: &ExtendedScheduler, spec: TpuSpec) -> 
 /// against the pool state its predecessors left behind, so a cycle's moves
 /// compose without double-booking receivers.
 ///
-/// `frozen` lists pods that must not migrate this cycle — the runtime
-/// passes pods whose stream is mid-swap or not serving, which is the same
-/// swap-seq/epoch guard the failure-recovery path uses.
+/// `frozen` answers which pods must not migrate this cycle — the runtime
+/// freezes pods whose stream is mid-swap or not serving, which is the same
+/// swap-seq/epoch guard the failure-recovery path uses. It is asked only
+/// about pods on a donor that reached the guard.
+///
+/// The donors' pods come from one TPU → pods index built per cycle in a
+/// single pass over the assignments, not from a scan of every assignment
+/// per donor. An executed move adds its pods under their receivers; the
+/// entries it leaves behind on the donor are filtered out when that list
+/// is next read.
 ///
 /// Gates, in order, with the stat bumped when a donor is skipped:
 /// 1. recoverable load ≥ `min_gain` (`skipped_gain`);
@@ -181,7 +186,7 @@ pub fn move_cost(plan: &EvictPlan, sched: &ExtendedScheduler, spec: TpuSpec) -> 
 /// 6. disruption per recovered unit ≤ `max_cost_per_unit` (`skipped_cost`).
 pub fn run_cycle(
     sched: &mut ExtendedScheduler,
-    frozen: &BTreeSet<PodId>,
+    frozen: impl Fn(PodId) -> bool,
     config: &DefragConfig,
     stats: &mut DefragStats,
 ) -> Vec<ExecutedMove> {
@@ -189,6 +194,7 @@ pub fn run_cycle(
     let spec = TpuSpec::coral_usb();
     let mut executed: Vec<ExecutedMove> = Vec::new();
     let mut budget = config.cycle_budget;
+    let mut residents: Option<Vec<Vec<PodId>>> = None;
     for donor in donor_candidates(sched.pool()) {
         if executed.len() >= usize::try_from(config.max_moves_per_cycle).expect("u32 fits usize") {
             break;
@@ -211,15 +217,13 @@ pub fn run_cycle(
             stats.skipped_unplaceable += 1;
             continue;
         }
-        if sched
-            .pods_using(donor)
-            .iter()
-            .any(|pod| frozen.contains(pod))
-        {
+        let residents = residents.get_or_insert_with(|| pods_by_tpu(sched));
+        let pods = pods_on(sched, residents, donor);
+        if pods.iter().any(|&pod| frozen(pod)) {
             stats.skipped_guard += 1;
             continue;
         }
-        let Ok(plan) = sched.plan_evict(donor) else {
+        let Ok(mut plan) = sched.plan_evict_pods(donor, pods) else {
             stats.skipped_unplaceable += 1;
             continue;
         };
@@ -236,7 +240,16 @@ pub fn run_cycle(
             stats.skipped_cost += 1;
             continue;
         }
-        sched.apply_evict(&plan);
+        sched.apply_evict(&mut plan);
+        for mv in &plan.moves {
+            for stage in &mv.plans {
+                for alloc in stage.allocations() {
+                    if let Some(pods) = residents.get_mut(alloc.tpu().index()) {
+                        pods.push(mv.pod);
+                    }
+                }
+            }
+        }
         budget = budget.saturating_sub(cost);
         stats.moves += 1;
         stats.pods_migrated += plan.moves.len() as u64;
@@ -247,10 +260,41 @@ pub fn run_cycle(
     executed
 }
 
+/// Every pod holding an allocation, listed under each TPU it uses (indexed
+/// by [`TpuId::index`]), from one pass over the assignments.
+fn pods_by_tpu(sched: &ExtendedScheduler) -> Vec<Vec<PodId>> {
+    let mut residents = vec![Vec::new(); sched.pool().len()];
+    for (pod, stages) in sched.placements() {
+        for alloc in stages.iter().flat_map(|stage| stage.allocations()) {
+            if let Some(pods) = residents.get_mut(alloc.tpu().index()) {
+                pods.push(pod);
+            }
+        }
+    }
+    residents
+}
+
+/// The pods on `donor` now, ascending — exactly
+/// [`ExtendedScheduler::pods_using`]. Sorts and de-duplicates the donor's
+/// index list in place and drops the pods that have since moved off it.
+fn pods_on<'a>(
+    sched: &ExtendedScheduler,
+    residents: &'a mut [Vec<PodId>],
+    donor: TpuId,
+) -> &'a [PodId] {
+    let Some(pods) = residents.get_mut(donor.index()) else {
+        return &[];
+    };
+    pods.sort_unstable();
+    pods.dedup();
+    pods.retain(|&pod| sched.pod_uses(pod, donor));
+    pods
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use microedge_cluster::topology::ClusterBuilder;
     use microedge_models::catalog::Catalog;
@@ -297,7 +341,7 @@ mod tests {
             max_moves_per_cycle: 1,
             ..DefragConfig::default()
         };
-        let moves = run_cycle(&mut sched, &BTreeSet::new(), &config, &mut stats);
+        let moves = run_cycle(&mut sched, |_| false, &config, &mut stats);
         assert_eq!(moves.len(), 1, "one move allowed, one executed");
         let donor = moves[0].plan.donor;
         assert!(
@@ -314,7 +358,12 @@ mod tests {
         let (_orch, mut sched, pods) = fragmented(4);
         let frozen: BTreeSet<PodId> = pods.into_iter().collect();
         let mut stats = DefragStats::default();
-        let moves = run_cycle(&mut sched, &frozen, &DefragConfig::default(), &mut stats);
+        let moves = run_cycle(
+            &mut sched,
+            |pod| frozen.contains(&pod),
+            &DefragConfig::default(),
+            &mut stats,
+        );
         assert!(moves.is_empty(), "every donor hosts a frozen pod");
         assert!(stats.skipped_guard > 0);
         assert_eq!(stats.moves, 0);
@@ -328,7 +377,7 @@ mod tests {
             cycle_budget: SimDuration::ZERO,
             ..DefragConfig::default()
         };
-        let moves = run_cycle(&mut sched, &BTreeSet::new(), &config, &mut stats);
+        let moves = run_cycle(&mut sched, |_| false, &config, &mut stats);
         assert!(moves.is_empty());
         assert!(stats.skipped_budget > 0, "budget gate fired");
     }
@@ -341,7 +390,7 @@ mod tests {
             max_cost_per_unit: SimDuration::from_nanos(1),
             ..DefragConfig::default()
         };
-        let moves = run_cycle(&mut sched, &BTreeSet::new(), &config, &mut stats);
+        let moves = run_cycle(&mut sched, |_| false, &config, &mut stats);
         assert!(moves.is_empty());
         assert!(stats.skipped_cost > 0, "exchange-rate gate fired");
     }
@@ -359,12 +408,7 @@ mod tests {
         }
         let before: TpuUnits = sched.pool().accounts().iter().map(|a| a.load()).sum();
         let mut stats = DefragStats::default();
-        let moves = run_cycle(
-            &mut sched,
-            &BTreeSet::new(),
-            &DefragConfig::default(),
-            &mut stats,
-        );
+        let moves = run_cycle(&mut sched, |_| false, &DefragConfig::default(), &mut stats);
         assert!(!moves.is_empty(), "churned pool yields at least one move");
         let after: TpuUnits = sched.pool().accounts().iter().map(|a| a.load()).sum();
         assert_eq!(before, after, "defrag conserves total assigned units");
@@ -379,6 +423,7 @@ mod tests {
             moves: Vec::new(),
             newly_loaded: BTreeMap::new(),
             residents_after: BTreeMap::new(),
+            pool_after: None,
         };
         assert_eq!(
             move_cost(&plan, &sched, TpuSpec::coral_usb()),

@@ -21,10 +21,11 @@
 //! - a **max-free segment tree** over TPU ids answers "first available TPU
 //!   with id ≥ `start` and free units ≥ `min`" in O(log M) — the query
 //!   behind First-Fit and Next-Fit scan order;
-//! - **free-units buckets** (a sorted map from exact free value to the
-//!   ascending id set) iterate TPUs by free capacity in either direction —
-//!   the orders Best-Fit and Worst-Fit need — touching only TPUs that can
-//!   actually contribute.
+//! - a **free-units order** (a sorted set of `(exact free value, id)`
+//!   pairs) iterates TPUs by free capacity in either direction — the
+//!   orders Best-Fit and Worst-Fit need — touching only TPUs that can
+//!   actually contribute. One flat set, so a commit moves one entry
+//!   instead of emptying and creating a per-value id set.
 //!
 //! Both structures are derived state: they never appear in equality
 //! comparisons, and every mutation keeps them exact (no rebuilds).
@@ -214,9 +215,10 @@ impl TpuAccount {
 }
 
 /// The incrementally maintained capacity index (see the module docs): a
-/// max-free segment tree in id order plus exact free-units buckets. Purely
+/// max-free segment tree in id order plus the exact free-units order. Purely
 /// derived from the accounts — excluded from pool equality.
 #[derive(Debug, Clone, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 struct CapacityIndex {
     /// 1-based complete binary tree; `tree[leaves + id]` is the free
     /// micro-units of TPU `id` (0 when failed), internal nodes hold the max
@@ -224,8 +226,8 @@ struct CapacityIndex {
     tree: Vec<u64>,
     /// Leaf count: the smallest power of two ≥ the pool size.
     leaves: usize,
-    /// Exact free micro-units → available TPU ids, ascending.
-    buckets: BTreeMap<u64, BTreeSet<u32>>,
+    /// `(exact free micro-units, id)` of every available TPU.
+    by_free: BTreeSet<(u64, u32)>,
     /// Sum of free micro-units across available TPUs — kept exact on every
     /// insert/remove so [`TpuPool::capacity_summary`] is O(1).
     total_free: u64,
@@ -239,7 +241,7 @@ impl CapacityIndex {
         let mut index = CapacityIndex {
             tree: vec![0; 2 * leaves],
             leaves,
-            buckets: BTreeMap::new(),
+            by_free: BTreeSet::new(),
             total_free: 0,
             available: 0,
         };
@@ -263,7 +265,7 @@ impl CapacityIndex {
     /// Registers an available TPU at the given free capacity.
     fn insert(&mut self, id: u32, free: u64) {
         self.set_leaf(id, free);
-        self.buckets.entry(free).or_default().insert(id);
+        self.by_free.insert((free, id));
         self.total_free += free;
         self.available += 1;
     }
@@ -271,12 +273,7 @@ impl CapacityIndex {
     /// Unregisters a TPU (it failed): it must not satisfy any query.
     fn remove(&mut self, id: u32, free: u64) {
         self.set_leaf(id, 0);
-        if let Some(bucket) = self.buckets.get_mut(&free) {
-            bucket.remove(&id);
-            if bucket.is_empty() {
-                self.buckets.remove(&free);
-            }
-        }
+        self.by_free.remove(&(free, id));
         self.total_free -= free;
         self.available -= 1;
     }
@@ -575,20 +572,26 @@ impl TpuPool {
     /// Best-Fit scan order, touching only TPUs that can contribute.
     pub fn tpus_by_free_ascending(&self, min_free: TpuUnits) -> impl Iterator<Item = TpuId> + '_ {
         self.index
-            .buckets
-            .range(min_free.as_micro().max(1)..)
-            .flat_map(|(_, ids)| ids.iter().copied().map(TpuId))
+            .by_free
+            .range((min_free.as_micro().max(1), 0)..)
+            .map(|&(_, id)| TpuId(id))
     }
 
     /// Available TPUs with at least `min_free` free units (clamped up to
     /// one micro-unit), most free first, ids ascending within ties — the
     /// Worst-Fit scan order.
     pub fn tpus_by_free_descending(&self, min_free: TpuUnits) -> impl Iterator<Item = TpuId> + '_ {
-        self.index
-            .buckets
-            .range(min_free.as_micro().max(1)..)
-            .rev()
-            .flat_map(|(_, ids)| ids.iter().copied().map(TpuId))
+        let by_free = &self.index.by_free;
+        let min = min_free.as_micro().max(1);
+        // One free value at a time, most first; within it, ids ascending.
+        let mut below = u64::MAX;
+        std::iter::from_fn(move || {
+            let &(free, _) = by_free.range((min, 0)..(below, 0)).next_back()?;
+            below = free;
+            Some(by_free.range((free, 0)..=(free, u32::MAX)))
+        })
+        .flatten()
+        .map(|&(_, id)| TpuId(id))
     }
 }
 
@@ -644,6 +647,15 @@ pub fn render_pool(pool: &TpuPool) -> String {
         ]);
     }
     table.to_string()
+}
+
+#[cfg(test)]
+impl TpuPool {
+    /// `true` when the incrementally kept index equals one built afresh
+    /// from the accounts — the index is a function of the accounts.
+    pub(crate) fn index_is_derived(&self) -> bool {
+        self.index == CapacityIndex::build(&self.accounts)
+    }
 }
 
 #[cfg(test)]

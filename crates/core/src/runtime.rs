@@ -784,7 +784,7 @@ impl RunResults {
     /// Panics if `parts` is empty or a shard-local stream id overflows the
     /// 40-bit local field.
     #[must_use]
-    pub fn merge_shards(parts: Vec<RunResults>) -> RunResults {
+    pub fn merge_shards(mut parts: Vec<RunResults>) -> RunResults {
         assert!(!parts.is_empty(), "cannot merge zero shards");
         let total_devices: usize = parts.iter().map(|p| p.per_device_utilization.len()).sum();
         let windows = parts
@@ -793,8 +793,8 @@ impl RunResults {
             .max()
             .unwrap_or(0);
         let mut merged = RunResults {
-            reports: BTreeMap::new(),
-            latencies: BTreeMap::new(),
+            reports: merge_by_stream(&mut parts, |p| &mut p.reports, |v, _| v),
+            latencies: merge_by_stream(&mut parts, |p| &mut p.latencies, |v, _| v),
             average_utilization: 0.0,
             per_device_utilization: Vec::with_capacity(total_devices),
             windowed_utilization: vec![0.0; windows],
@@ -806,16 +806,14 @@ impl RunResults {
             events_processed: 0,
             end: SimTime::ZERO,
             recovery: RecoveryRecorder::new(),
-            availability: BTreeMap::new(),
-            phases: BTreeMap::new(),
-            lineage: BTreeMap::new(),
+            availability: merge_by_stream(&mut parts, |p| &mut p.availability, |v, _| v),
+            phases: merge_by_stream(&mut parts, |p| &mut p.phases, |v, _| v),
+            lineage: merge_by_stream(&mut parts, |p| &mut p.lineage, StreamId::with_shard),
             remote_ingest: LogLinearSketch::new(),
             commands_failed: 0,
             defrag: DefragStats::default(),
         };
-        for (shard, part) in parts.into_iter().enumerate() {
-            let shard = u32::try_from(shard).expect("shard count fits u32");
-            let remap = |id: StreamId| id.with_shard(shard);
+        for part in parts {
             // A shard's windows are that shard's fleet average; weight by
             // its device share (a shard that ended early idles at 0).
             let weight = if total_devices == 0 {
@@ -831,23 +829,6 @@ impl RunResults {
             {
                 *w += v * weight;
             }
-            merged
-                .reports
-                .extend(part.reports.into_iter().map(|(id, r)| (remap(id), r)));
-            merged
-                .latencies
-                .extend(part.latencies.into_iter().map(|(id, s)| (remap(id), s)));
-            merged
-                .availability
-                .extend(part.availability.into_iter().map(|(id, a)| (remap(id), a)));
-            merged
-                .phases
-                .extend(part.phases.into_iter().map(|(id, p)| (remap(id), p)));
-            merged.lineage.extend(
-                part.lineage
-                    .into_iter()
-                    .map(|(old, new)| (remap(old), remap(new))),
-            );
             merged
                 .per_device_utilization
                 .extend(part.per_device_utilization);
@@ -1027,6 +1008,38 @@ struct DefragRuntime {
     epochs: u64,
 }
 
+/// Every part's per-stream map (picked by `map`, and emptied) as one map
+/// over global ids, with `value` remapping each entry for its shard. The
+/// shard is the global id's high field and `parts` are in shard order, so
+/// the one `collect` sees its keys ascending and builds the tree in bulk.
+fn merge_by_stream<V>(
+    parts: &mut [RunResults],
+    map: impl Fn(&mut RunResults) -> &mut BTreeMap<StreamId, V>,
+    value: impl Fn(V, u32) -> V + Copy,
+) -> BTreeMap<StreamId, V> {
+    (0u32..)
+        .zip(parts)
+        .flat_map(|(shard, part)| {
+            std::mem::take(map(part))
+                .into_iter()
+                .map(move |(id, v)| (id.with_shard(shard), value(v, shard)))
+        })
+        .collect()
+}
+
+/// The stream `pod` currently backs, with its record, if any. A free
+/// function over the two slabs, so a caller can ask while it holds the
+/// scheduler mutably.
+fn stream_of_pod<'a>(
+    streams: &'a [StreamRuntime],
+    pods_to_streams: &[StreamId],
+    pod: PodId,
+) -> Option<(StreamId, &'a StreamRuntime)> {
+    let sid = *pods_to_streams.get(pod.index())?;
+    let stream = streams.get(sid.index())?;
+    (stream.pod == pod).then_some((sid, stream))
+}
+
 /// The sharded replay moves whole shards across the worker pool between
 /// epochs, so a `World` (and everything it owns) must stay `Send`.
 fn _assert_world_is_send() {
@@ -1152,8 +1165,7 @@ impl World {
 
     /// The stream `pod` currently backs, if any.
     fn stream_of_pod(&self, pod: PodId) -> Option<StreamId> {
-        let sid = *self.pods_to_streams.get(pod.index())?;
-        (self.stream(sid)?.pod == pod).then_some(sid)
+        stream_of_pod(&self.streams, &self.pods_to_streams, pod).map(|(sid, _)| sid)
     }
 
     /// Records that the just-created `pod` backs `sid`.
@@ -1468,15 +1480,15 @@ impl World {
             return;
         }
         let config = runtime.config;
-        let mut frozen = BTreeSet::new();
-        for s in &self.streams {
-            let serving = matches!(s.phase, StreamPhase::Active | StreamPhase::Degraded);
-            if s.pending_swap.is_some() || !serving {
-                frozen.insert(s.pod);
-            }
-        }
+        let (streams, pods_to_streams) = (&self.streams, &self.pods_to_streams);
+        let frozen = |pod| {
+            stream_of_pod(streams, pods_to_streams, pod).is_some_and(|(_, s)| {
+                let serving = matches!(s.phase, StreamPhase::Active | StreamPhase::Degraded);
+                s.pending_swap.is_some() || !serving
+            })
+        };
         let mut stats = DefragStats::default();
-        let moves = defrag::run_cycle(&mut self.sched, &frozen, &config, &mut stats);
+        let moves = defrag::run_cycle(&mut self.sched, frozen, &config, &mut stats);
         // `run_cycle` has already applied every move to the scheduler and a
         // device reload overwrites its resident plan, so each touched TPU is
         // synced once, after the loop, against its final residency.

@@ -361,6 +361,10 @@ impl Assignments {
         self.0.get(pod.index())?.as_ref()
     }
 
+    fn get_mut(&mut self, pod: PodId) -> Option<&mut PodAssignment> {
+        self.0.get_mut(pod.index())?.as_mut()
+    }
+
     fn remove(&mut self, pod: PodId) -> Option<PodAssignment> {
         self.0.get_mut(pod.index())?.take()
     }
@@ -381,6 +385,13 @@ impl Assignments {
             .zip(&self.0)
             .filter_map(|(id, a)| Some((PodId(id), a.as_ref()?)))
     }
+}
+
+/// `true` when some stage holds an allocation on `tpu`.
+fn holds_on(stages: &[StagePlacement], tpu: TpuId) -> bool {
+    stages
+        .iter()
+        .any(|s| s.allocations.iter().any(|al| al.tpu() == tpu))
 }
 
 /// Divides a stage demand by a degradation denominator, keeping at least
@@ -858,13 +869,22 @@ impl ExtendedScheduler {
     pub fn pods_using(&self, tpu: TpuId) -> Vec<PodId> {
         self.assignments
             .iter()
-            .filter(|(_, a)| {
-                a.stages
-                    .iter()
-                    .any(|s| s.allocations.iter().any(|al| al.tpu() == tpu))
-            })
+            .filter(|(_, a)| holds_on(&a.stages, tpu))
             .map(|(pod, _)| pod)
             .collect()
+    }
+
+    /// Every pod holding an assignment with its per-stage placements, in
+    /// pod-id order.
+    pub(crate) fn placements(&self) -> impl Iterator<Item = (PodId, &[StagePlacement])> {
+        self.assignments.iter().map(|(pod, a)| (pod, &a.stages[..]))
+    }
+
+    /// `true` when `pod` holds at least one allocation on `tpu`.
+    pub(crate) fn pod_uses(&self, pod: PodId, tpu: TpuId) -> bool {
+        self.assignments
+            .get(pod)
+            .is_some_and(|a| holds_on(&a.stages, tpu))
     }
 
     /// Plans the complete eviction of `tpu` for the online defragmenter —
@@ -888,14 +908,32 @@ impl ExtendedScheduler {
     /// re-placed on the rest of the fleet; [`DeployError::UnknownModel`] if
     /// an assignment references a model missing from the catalog.
     pub fn plan_evict(&self, tpu: TpuId) -> Result<EvictPlan, DeployError> {
-        let recovered_micro = self.pool.account(tpu).load().as_micro();
+        self.plan_evict_pods(tpu, &self.pods_using(tpu))
+    }
+
+    /// [`ExtendedScheduler::plan_evict`] for a caller that already knows
+    /// the donor's pods: `pods` must be exactly what
+    /// [`ExtendedScheduler::pods_using`] returns for `tpu`, ascending. The
+    /// defragmenter passes them from its per-cycle index instead of
+    /// scanning every assignment per donor.
+    pub(crate) fn plan_evict_pods(
+        &self,
+        tpu: TpuId,
+        pods: &[PodId],
+    ) -> Result<EvictPlan, DeployError> {
+        let donor = self.pool.account(tpu);
+        let recovered_micro = donor.load().as_micro();
+        let donor_available = donor.is_available();
         let mut scratch = self.pool.clone();
         scratch.fail(tpu);
         let mut policy = BestFit::new();
         let mut buffer = PlanBuffer::new();
-        let mut moves = Vec::new();
+        let mut moves = Vec::with_capacity(pods.len());
         let mut newly_loaded: BTreeMap<TpuId, u64> = BTreeMap::new();
-        for pod in self.pods_using(tpu) {
+        // Bytes loaded per destination of the pod being planned; a pod
+        // spans a handful of TPUs, so a reused list beats a map per pod.
+        let mut per_tpu: Vec<(TpuId, u64)> = Vec::new();
+        for &pod in pods {
             let Some(assignment) = self.assignments.get(pod) else {
                 continue;
             };
@@ -903,7 +941,7 @@ impl ExtendedScheduler {
                 scratch.release(&stage.model, &stage.allocations);
             }
             let mut plans = Inline::default();
-            let mut per_tpu: BTreeMap<TpuId, u64> = BTreeMap::new();
+            per_tpu.clear();
             for stage in &assignment.stages {
                 let profile = self
                     .catalog
@@ -921,7 +959,10 @@ impl ExtendedScheduler {
                 let allocations: Inline<Allocation> =
                     buffer.allocations().iter().copied().collect();
                 for loaded in scratch.commit(profile, &allocations) {
-                    *per_tpu.entry(loaded).or_insert(0) += profile.param_bytes();
+                    match per_tpu.iter_mut().find(|(t, _)| *t == loaded) {
+                        Some((_, bytes)) => *bytes += profile.param_bytes(),
+                        None => per_tpu.push((loaded, profile.param_bytes())),
+                    }
                     *newly_loaded.entry(loaded).or_insert(0) += profile.param_bytes();
                 }
                 plans.push(StagePlacement {
@@ -933,7 +974,7 @@ impl ExtendedScheduler {
             // Loads on distinct TPUs proceed in parallel; this pod's swap-in
             // window is bounded by its busiest destination (the same
             // convention as `handle_tpu_failure`).
-            let swap_bytes = per_tpu.values().copied().max().unwrap_or(0);
+            let swap_bytes = per_tpu.iter().map(|&(_, bytes)| bytes).max().unwrap_or(0);
             moves.push(PodMove {
                 pod,
                 plans,
@@ -944,41 +985,46 @@ impl ExtendedScheduler {
             .keys()
             .map(|&receiver| (receiver, scratch.account(receiver).live_models()))
             .collect();
+        // The scratch pool is now the live pool with every move released
+        // and committed in plan order; only the donor's failure mark is
+        // not part of the move.
+        if donor_available {
+            scratch.restore(tpu);
+        }
         Ok(EvictPlan {
             donor: tpu,
             recovered_micro,
             moves,
             newly_loaded,
             residents_after,
+            pool_after: Some(scratch),
         })
     }
 
-    /// Executes an [`EvictPlan`]: every planned pod releases its old
-    /// allocations and commits the new ones, atomically from the pool's
-    /// point of view (the plan was validated against this exact pool
-    /// state). The donor is never failed — it simply ends the call empty,
-    /// one whole contiguous slot returned to the capacity index.
+    /// Executes an [`EvictPlan`]: every planned pod takes its new
+    /// allocations, and the scheduler adopts the plan's post-move pool —
+    /// the same accounts that releasing each old assignment and committing
+    /// each new one would leave, because the plan made exactly those calls
+    /// on a copy of this pool. The donor is never failed — it simply ends
+    /// the call empty, one whole contiguous slot returned to the capacity
+    /// index. The plan hands its pool over, so applying it a second time
+    /// only re-sets the pods' allocations.
     ///
     /// # Panics
     ///
-    /// Panics if the pool changed since [`ExtendedScheduler::plan_evict`]
-    /// produced the plan (a planned allocation no longer fits), or if a
-    /// planned pod no longer holds an assignment.
-    pub fn apply_evict(&mut self, plan: &EvictPlan) {
+    /// Panics if a planned pod no longer holds an assignment. The plan is
+    /// only valid against the pool it was planned on: apply it before any
+    /// other pool mutation.
+    pub fn apply_evict(&mut self, plan: &mut EvictPlan) {
         for mv in &plan.moves {
-            let old = self
+            let assignment = self
                 .assignments
-                .remove(mv.pod)
+                .get_mut(mv.pod)
                 .expect("evicted pod holds an assignment");
-            self.release_plans(&old.stages);
-            self.commit_plans(&mv.plans);
-            self.assignments.insert(
-                mv.pod,
-                PodAssignment {
-                    stages: mv.plans.clone(),
-                    den: old.den,
-                },
-            );
+            assignment.stages.clone_from(&mv.plans);
+        }
+        if let Some(pool) = plan.pool_after.take() {
+            self.pool = pool;
         }
         debug_assert!(
             self.pool.account(plan.donor).load().is_zero(),
@@ -1021,6 +1067,9 @@ pub struct EvictPlan {
     /// co-compilation priority order — the `tpu::cocompile` input of the
     /// transition cost.
     pub residents_after: BTreeMap<TpuId, Vec<ModelId>>,
+    /// The pool as the move leaves it (donor in its pre-plan availability),
+    /// until [`ExtendedScheduler::apply_evict`] adopts it.
+    pub(crate) pool_after: Option<TpuPool>,
 }
 
 /// One pod re-placed by [`ExtendedScheduler::handle_tpu_failure`].
@@ -1089,6 +1138,43 @@ mod tests {
         let request = TpuRequest::new(ModelId::new("ssd-mobilenet-v2"), TpuUnits::from_f64(0.35));
         let spec = PodSpec::builder(name, "coral-pie:latest").build();
         sched.deploy_requests(orch, spec, &[request], den).unwrap()
+    }
+
+    /// Applying an eviction adopts the plan's post-move pool. It equals
+    /// the pool that replaying every release and commit leaves, the donor
+    /// keeps its availability, and the adopted capacity index is the one a
+    /// rebuild from the accounts gives.
+    #[test]
+    fn applied_evictions_adopt_the_replayed_pool() {
+        for fail_donor in [false, true] {
+            let (mut orch, mut sched) = setup(4, 4, Features::all());
+            for name in ["a", "b", "c"] {
+                sched.deploy(&mut orch, coral_pie_spec(name)).unwrap();
+            }
+            let donor = TpuId(0);
+            if fail_donor {
+                sched.pool.fail(donor);
+            }
+            let mut plan = sched.plan_evict(donor).unwrap();
+            assert!(!plan.moves.is_empty(), "the donor hosts pods");
+            let mut replayed = sched.pool.clone();
+            for mv in &plan.moves {
+                for stage in sched.stage_assignment(mv.pod).unwrap() {
+                    replayed.release(&stage.model, &stage.allocations);
+                }
+                for stage in &mv.plans {
+                    replayed.commit(sched.catalog.expect(&stage.model), &stage.allocations);
+                }
+            }
+            sched.apply_evict(&mut plan);
+            assert_eq!(sched.pool, replayed);
+            assert!(sched.pool.account(donor).load().is_zero());
+            assert_eq!(sched.pool.account(donor).is_available(), !fail_donor);
+            assert!(sched.pool.index_is_derived());
+            for mv in &plan.moves {
+                assert_eq!(sched.stage_assignment(mv.pod), Some(&mv.plans[..]));
+            }
+        }
     }
 
     #[test]

@@ -56,6 +56,22 @@ struct PodRecord {
 
 const _: () = assert!(std::mem::size_of::<PodRecord>() <= 64);
 
+/// A live pod's name, ordered by an FNV-1a hash of the name first, so the
+/// name set's comparisons are integer compares and only equal hashes read
+/// the strings, each a separate allocation. Hashing with std's SipHash
+/// cost more per name than the string reads it saved.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct LiveName(u64, Arc<str>);
+
+impl LiveName {
+    fn of(name: &Arc<str>) -> Self {
+        let hash = name.bytes().fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        LiveName(hash, Arc::clone(name))
+    }
+}
+
 /// The K3s-like control plane for one cluster.
 ///
 /// # Examples
@@ -83,9 +99,10 @@ pub struct Orchestrator {
     /// Names of running pods, kept in lockstep with `pods` so the
     /// uniqueness check on creation is an index probe instead of a scan of
     /// every record ever created — the scan was quadratic over a
-    /// 100k-stream admission sweep. Entries share the specs' name
+    /// 100k-stream admission sweep. A creation claims its name with one
+    /// insert, which is also the check. Entries share the specs' name
     /// allocations.
-    live_names: BTreeSet<Arc<str>>,
+    live_names: BTreeSet<LiveName>,
 }
 
 impl Orchestrator {
@@ -131,8 +148,9 @@ impl Orchestrator {
     /// [`OrchError::NameInUse`] when a live pod has the same name;
     /// [`OrchError::NoFeasibleNode`] when no node passes filtering.
     pub fn create_pod(&mut self, spec: PodSpec) -> Result<PodId, OrchError> {
-        self.check_name(&spec)?;
+        self.reserve_name(&spec)?;
         let Some(node) = self.scheduler.best_node(&self.cluster, &self.state, &spec) else {
+            self.live_names.remove(&LiveName::of(spec.shared_name()));
             return Err(OrchError::NoFeasibleNode);
         };
         Ok(self.bind(spec, node))
@@ -161,8 +179,9 @@ impl Orchestrator {
     /// [`OrchError::NodeNotFeasible`] when the node does not pass filtering
     /// for this spec.
     pub fn create_pod_on(&mut self, spec: PodSpec, node: NodeId) -> Result<PodId, OrchError> {
-        self.check_name(&spec)?;
+        self.reserve_name(&spec)?;
         if !self.node_feasible(&spec, node) {
+            self.live_names.remove(&LiveName::of(spec.shared_name()));
             return Err(OrchError::NodeNotFeasible(node));
         }
         Ok(self.bind(spec, node))
@@ -182,7 +201,8 @@ impl Orchestrator {
             .filter(|r| r.phase == PodPhase::Running)
             .ok_or(OrchError::UnknownPod(pod))?;
         record.phase = PodPhase::Terminated;
-        self.live_names.remove(record.spec.name());
+        self.live_names
+            .remove(&LiveName::of(record.spec.shared_name()));
         self.state.unbind(&record.spec, record.node);
         Ok(record.node)
     }
@@ -204,7 +224,8 @@ impl Orchestrator {
         for (id, record) in (0u64..).zip(&mut self.pods) {
             if record.phase == PodPhase::Running && record.node == node {
                 record.phase = PodPhase::Terminated;
-                self.live_names.remove(record.spec.name());
+                self.live_names
+                    .remove(&LiveName::of(record.spec.shared_name()));
                 self.state.unbind(&record.spec, node);
                 displaced.push(PodId(id));
             }
@@ -255,17 +276,19 @@ impl Orchestrator {
             .collect()
     }
 
-    fn check_name(&self, spec: &PodSpec) -> Result<(), OrchError> {
-        if self.live_names.contains(spec.name()) {
-            Err(OrchError::NameInUse(spec.name().to_owned()))
-        } else {
+    /// Claims `spec`'s name in one walk of the name set. A create that then
+    /// finds no node must remove the name again before it returns.
+    fn reserve_name(&mut self, spec: &PodSpec) -> Result<(), OrchError> {
+        if self.live_names.insert(LiveName::of(spec.shared_name())) {
             Ok(())
+        } else {
+            Err(OrchError::NameInUse(spec.name().to_owned()))
         }
     }
 
+    /// Binds a pod whose name [`Self::reserve_name`] has already claimed.
     fn bind(&mut self, spec: PodSpec, node: NodeId) -> PodId {
         let id = PodId(u64::try_from(self.pods.len()).expect("pod count fits u64"));
-        self.live_names.insert(Arc::clone(spec.shared_name()));
         self.state.bind(&spec, node);
         self.pods.push(PodRecord {
             spec,

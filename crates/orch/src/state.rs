@@ -63,7 +63,9 @@ impl NodeAvailability {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClusterState {
-    availability: BTreeMap<NodeId, NodeAvailability>,
+    /// Remaining resources by [`NodeId::index`]; `None` for an id the
+    /// cluster does not have.
+    availability: Vec<Option<NodeAvailability>>,
     /// Every known node keyed by remaining resources (see [`RankedEntry`]),
     /// kept in lockstep with `availability` by `bind`/`unbind` so the
     /// common selector-free placement is an index lookup instead of a full
@@ -81,22 +83,19 @@ impl ClusterState {
     /// Creates a state with every node fully available.
     #[must_use]
     pub fn new(cluster: &Cluster) -> Self {
-        let availability: BTreeMap<NodeId, NodeAvailability> = cluster
-            .nodes()
-            .iter()
-            .map(|n| {
-                (
-                    n.id(),
-                    NodeAvailability {
-                        cpu_millis: n.cpu_millis(),
-                        mem_bytes: n.mem_bytes(),
-                    },
-                )
-            })
-            .collect();
-        let ranked = availability
-            .iter()
-            .map(|(&id, a)| (a.cpu_millis, a.mem_bytes, Reverse(id)))
+        let slots = cluster.nodes().iter().map(|n| n.id().index() + 1).max();
+        let mut availability = vec![None; slots.unwrap_or(0)];
+        for node in cluster.nodes() {
+            if let Some(slot) = availability.get_mut(node.id().index()) {
+                *slot = Some(NodeAvailability {
+                    cpu_millis: node.cpu_millis(),
+                    mem_bytes: node.mem_bytes(),
+                });
+            }
+        }
+        let ranked = (0..)
+            .zip(&availability)
+            .filter_map(|(i, a)| a.map(|a| (a.cpu_millis, a.mem_bytes, Reverse(NodeId(i)))))
             .collect();
         ClusterState {
             availability,
@@ -126,7 +125,7 @@ impl ClusterState {
     /// Remaining resources on `node`, or `None` for an unknown node.
     #[must_use]
     pub fn availability(&self, node: NodeId) -> Option<NodeAvailability> {
-        self.availability.get(&node).copied()
+        self.availability.get(node.index()).copied().flatten()
     }
 
     /// Binds a pod with `spec` to `node`, decrementing the node's
@@ -185,7 +184,8 @@ impl ClusterState {
 
     fn node_mut(&mut self, node: NodeId) -> &mut NodeAvailability {
         self.availability
-            .get_mut(&node)
+            .get_mut(node.index())
+            .and_then(Option::as_mut)
             .unwrap_or_else(|| panic!("unknown node {node}"))
     }
 
