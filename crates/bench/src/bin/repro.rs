@@ -16,10 +16,10 @@
 //! pass never replaces a committed artifact) through
 //! [`microedge_bench::artifact`]:
 //! `--chaos` the fault-injection study (`BENCH_chaos.json`, simulated time
-//! only), `--perf` the kernel and admission-planning harnesses
-//! (`BENCH_kernel.json`, `BENCH_admission.json`; it also runs the scale
-//! study), `--scale` the 1k→100k serial and sharded 100k/1M scale-out
-//! (`BENCH_scale.json`), `--fleet` the federated front door and whole-
+//! only), `--scale` the 1k→100k serial and sharded 100k/1M scale-out
+//! (`BENCH_scale.json`), `--perf` the scale study and then the kernel and
+//! admission-planning harnesses (`BENCH_kernel.json`,
+//! `BENCH_admission.json`), `--fleet` the federated front door and whole-
 //! cluster kill tiers (`BENCH_fleet.json`), `--net` the lossy-transport
 //! study (`BENCH_net.json`) and `--defrag` the online defragmenter under
 //! 24 h churn (`BENCH_defrag.json`). Host measurements sit on `host_`
@@ -95,8 +95,9 @@ static ARTIFACTS: [Artifact; 13] = [
     Artifact::paper(&["--fig7b"], fig7b),
     Artifact::paper(&["--ablations"], ablations),
     Artifact::study(&["--chaos"], chaos),
-    Artifact::study(&["--perf"], perf).host_timed(),
+    // Scale before the harnesses: its tiers record the process's peak RSS.
     Artifact::study(&["--scale", "--perf"], scale).host_timed(),
+    Artifact::study(&["--perf"], perf).host_timed(),
     Artifact::study(&["--fleet"], fleet).host_timed(),
     Artifact::study(&["--net"], net).host_timed(),
     Artifact::study(&["--defrag"], defrag).host_timed(),

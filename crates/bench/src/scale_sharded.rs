@@ -296,6 +296,7 @@ pub fn to_json(serial: &ScaleStudy, sharded: &ShardedScaleStudy) -> String {
                         .num("exports", p.exports)
                         .num("telemetry_bytes", p.telemetry_bytes)
                         .host("events_per_sec", fixed(p.events_per_sec(), 1))
+                        .host("admit_wall_s", fixed(p.admit_wall_s, 3))
                         .host("replay_wall_s", fixed(p.run_wall_s, 3))
                         .host("workers", p.workers)
                         .host("peak_rss_bytes", p.peak_rss_bytes);

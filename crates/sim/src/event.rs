@@ -21,10 +21,22 @@
 //! Ties need no sequence number. A push appends the newest event, and a
 //! refill moves one list, in order, into lists that are all empty at that
 //! moment; so every list stays in insertion order and equal times pop
-//! FIFO. Each event's payload sits in a slab slot that is reused through a
-//! free list, so the lists move 16-byte `(time, slot)` entries however
-//! large the events are. `sim_properties::event_queue_total_order` checks
-//! delivery against a sorted-map reference.
+//! FIFO.
+//!
+//! A bucketed event's payload sits in a slab slot that is reused through a
+//! free list, so the buckets move 16-byte `(time, slot)` entries however
+//! large the events are. `due` holds payloads, not slots: the refill that
+//! makes an entry due takes its payload out of the slab, frees the slot
+//! and appends the payload to `due`, and a push at `last` appends straight
+//! to `due` without a slot. At a deep queue the slab is far larger than
+//! the cache, so each take is a miss. In the refill loop those loads do
+//! not depend on one another and the CPU overlaps their misses, where a
+//! take at each pop would wait for its own miss between handlers that
+//! miss on their own records. At a shallow queue nothing misses, and the
+//! extra move through `due` costs a few percent (EXPERIMENTS.md, "Gathered
+//! due payloads"). `sim_properties::event_queue_total_order` and
+//! `sim_properties::event_queue_delivers_each_payload_once` check
+//! delivery against a sorted reference.
 //!
 //! # Examples
 //!
@@ -68,11 +80,11 @@ pub struct EventQueue<E> {
     buckets: [Vec<(SimTime, usize)>; BUCKETS],
     /// Bit `i` is set when `buckets[i]` is non-empty.
     occupied: u64,
-    /// Slots of the pending events at `last`, in insertion order.
-    due: VecDeque<usize>,
+    /// Payloads of the pending events at `last`, in insertion order.
+    due: VecDeque<E>,
     /// Time of the most recent refill; never later than `now`.
     last: SimTime,
-    /// Event payloads by slot; `None` marks a free slot.
+    /// Payloads of the bucketed events by slot; `None` marks a free slot.
     slots: Vec<Option<E>>,
     /// Free slots, reused before `slots` grows.
     free: Vec<usize>,
@@ -112,7 +124,7 @@ impl<E> EventQueue<E> {
     /// Number of events waiting in the queue.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.slots.len() - self.free.len() + self.due.len()
     }
 
     /// `true` when no events are pending.
@@ -139,6 +151,10 @@ impl<E> EventQueue<E> {
             "cannot schedule event at {time} before current time {now}",
             now = self.now
         );
+        if time == self.last {
+            self.due.push_back(event);
+            return;
+        }
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot] = Some(event);
@@ -149,7 +165,7 @@ impl<E> EventQueue<E> {
                 self.slots.len() - 1
             }
         };
-        self.place(time, slot);
+        self.file(time, slot);
     }
 
     /// Schedules `event` at `delay` after the current time.
@@ -180,11 +196,7 @@ impl<E> EventQueue<E> {
         } else if self.last > until {
             return None;
         }
-        let slot = self.due.pop_front()?;
-        let event = self.slots[slot]
-            .take()
-            .expect("a pending entry owns its slot");
-        self.free.push(slot);
+        let event = self.due.pop_front()?;
         debug_assert!(self.last >= self.now, "event queue went backwards");
         self.now = self.last;
         self.popped += 1;
@@ -229,17 +241,14 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Files a pending entry under `last`: into `due` at `last`, otherwise
-    /// at the end of the bucket of the highest bit that differs.
-    fn place(&mut self, time: SimTime, slot: usize) {
+    /// Files a pending entry later than `last` at the end of the bucket of
+    /// the highest bit in which its time differs from `last`.
+    fn file(&mut self, time: SimTime, slot: usize) {
         let diff = time.as_nanos() ^ self.last.as_nanos();
-        if diff == 0 {
-            self.due.push_back(slot);
-        } else {
-            let bucket = BUCKETS - 1 - diff.leading_zeros() as usize;
-            self.buckets[bucket].push((time, slot));
-            self.occupied |= 1 << bucket;
-        }
+        debug_assert_ne!(diff, 0, "an entry at `last` belongs in `due`");
+        let bucket = BUCKETS - 1 - diff.leading_zeros() as usize;
+        self.buckets[bucket].push((time, slot));
+        self.occupied |= 1 << bucket;
     }
 
     /// The lowest non-empty bucket and its earliest time.
@@ -252,13 +261,22 @@ impl<E> EventQueue<E> {
     /// Moves `last` up to `min`, the earliest time in `bucket`, and
     /// re-places that bucket's entries in list order. They all share the
     /// bits above `bucket` with the new `last`, so each lands in `due` or a
-    /// lower bucket, every one of them empty until now.
+    /// lower bucket, every one of them empty until now. An entry at `min`
+    /// leaves its slot here: its payload moves into `due`.
     fn refill(&mut self, bucket: usize, min: SimTime) {
         self.last = min;
         self.occupied &= !(1 << bucket);
         let mut entries = std::mem::take(&mut self.buckets[bucket]);
         for &(time, slot) in &entries {
-            self.place(time, slot);
+            if time == min {
+                let event = self.slots[slot]
+                    .take()
+                    .expect("a pending entry owns its slot");
+                self.free.push(slot);
+                self.due.push_back(event);
+            } else {
+                self.file(time, slot);
+            }
         }
         if entries.capacity() <= KEPT_CAPACITY.max(self.len() / 4) {
             entries.clear();
@@ -421,6 +439,26 @@ mod tests {
                     "{capacity} entries of bucket capacity at depth {depth}, at {at}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn hold_keeps_the_slab_within_the_largest_pending_count() {
+        // A steady hold over whole milliseconds within one frame interval,
+        // so every refill makes a batch due and some reschedules land at
+        // `now`: slots freed at refill are reused, and the slab never
+        // outgrows the most events pending at once.
+        let mut rng = DetRng::seed_from(7);
+        let mut q = EventQueue::new();
+        for e in 0..2_000 {
+            q.schedule_at(SimTime::from_millis(rng.uniform_range(0, 67)), e);
+        }
+        let mut most_pending = q.len();
+        for _ in 0..50_000 {
+            let (at, e) = q.pop().expect("the hold keeps the queue full");
+            q.schedule_at(at + SimDuration::from_millis(rng.uniform_range(0, 67)), e);
+            most_pending = most_pending.max(q.len());
+            assert!(q.slots.len() <= most_pending, "{} slots", q.slots.len());
         }
     }
 

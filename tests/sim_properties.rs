@@ -1,7 +1,9 @@
 //! Property-based tests for the simulation kernel and the TPU-units
 //! arithmetic the whole system rests on.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
@@ -43,6 +45,33 @@ fn offset() -> impl Strategy<Value = u64> {
     ]
 }
 
+/// `ns` nanoseconds after `now`, saturating at `u64::MAX`.
+fn after(now: SimTime, ns: u64) -> SimTime {
+    SimTime::from_nanos(now.as_nanos().saturating_add(ns))
+}
+
+/// A [`QueueOp::PopDue`] deadline: `ns` nanoseconds after `now`, or before
+/// it if negative.
+fn deadline(now: SimTime, ns: i64) -> SimTime {
+    match u64::try_from(ns) {
+        Ok(ns) => after(now, ns),
+        Err(_) => SimTime::from_nanos(now.as_nanos().saturating_sub(ns.unsigned_abs())),
+    }
+}
+
+/// An event payload that counts its drops in a table shared by the test.
+#[derive(Debug)]
+struct Counted {
+    id: usize,
+    drops: Rc<RefCell<Vec<u32>>>,
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.drops.borrow_mut()[self.id] += 1;
+    }
+}
+
 fn queue_op() -> impl Strategy<Value = QueueOp> {
     prop_oneof![
         3 => offset().prop_map(QueueOp::Schedule),
@@ -75,20 +104,17 @@ proptest! {
             reference.insert((t, next as u64), next);
             next += 1;
         };
-        let after = |q: &EventQueue<usize>, ns: u64| {
-            SimTime::from_nanos(q.now().as_nanos().saturating_add(ns))
-        };
         for &t in &times {
             schedule(&mut q, &mut reference, SimTime::from_millis(t));
         }
         for op in ops {
             match op {
                 QueueOp::Schedule(ns) => {
-                    let t = after(&q, ns);
+                    let t = after(q.now(), ns);
                     schedule(&mut q, &mut reference, t);
                 }
                 QueueOp::Burst(count, ns) => {
-                    let t = after(&q, ns);
+                    let t = after(q.now(), ns);
                     for _ in 0..count {
                         schedule(&mut q, &mut reference, t);
                     }
@@ -98,12 +124,7 @@ proptest! {
                     schedule(&mut q, &mut reference, t);
                 }
                 QueueOp::PopDue(ns) => {
-                    let deadline = match u64::try_from(ns) {
-                        Ok(ns) => after(&q, ns),
-                        Err(_) => SimTime::from_nanos(
-                            q.now().as_nanos().saturating_sub(ns.unsigned_abs()),
-                        ),
-                    };
+                    let deadline = deadline(q.now(), ns);
                     let expected = match reference.first_key_value() {
                         Some((&(t, _), _)) if t <= deadline => reference.pop_first(),
                         _ => None,
@@ -112,7 +133,7 @@ proptest! {
                 }
                 QueueOp::Advance(ns) => {
                     // Drain what is due first, as an epoch barrier does.
-                    let barrier = after(&q, ns);
+                    let barrier = after(q.now(), ns);
                     while let Some((t, id)) = q.pop_due(barrier) {
                         prop_assert_eq!(reference.pop_first(), Some(((t, id as u64), id)));
                     }
@@ -128,6 +149,89 @@ proptest! {
         }
         prop_assert!(reference.is_empty());
         prop_assert_eq!(q.events_processed(), next as u64);
+    }
+
+    /// Every payload is delivered exactly once and never dropped while it
+    /// is pending, and `len()` is scheduled minus delivered after every
+    /// step. After each step, `now` more events are scheduled at the
+    /// current time: when the last pop left part of a tied batch due, they
+    /// must pop after that batch. Dropping the queue drops what is still
+    /// pending, once each.
+    #[test]
+    fn event_queue_delivers_each_payload_once(
+        times in prop::collection::vec(0u64..1_000, 1..100),
+        steps in prop::collection::vec((queue_op(), 0usize..3), 0..200),
+    ) {
+        let drops = Rc::new(RefCell::new(Vec::new()));
+        let mut q = EventQueue::new();
+        let mut reference = BTreeSet::new();
+        let schedule = |q: &mut EventQueue<Counted>, reference: &mut BTreeSet<_>, t| {
+            let id = drops.borrow().len();
+            drops.borrow_mut().push(0);
+            q.schedule_at(t, Counted { id, drops: Rc::clone(&drops) });
+            reference.insert((t, id));
+        };
+        // Pops one event if the reference has one due by `deadline`, and
+        // checks it is the reference's first and is dropped once, by us.
+        let deliver = |q: &mut EventQueue<Counted>,
+                       reference: &mut BTreeSet<(SimTime, usize)>,
+                       deadline: SimTime|
+         -> Result<bool, String> {
+            let expected = reference.first().filter(|&&(t, _)| t <= deadline).copied();
+            let got = q.pop_due(deadline).map(|(t, ev)| (t, ev.id));
+            prop_assert_eq!(got, expected);
+            if let Some((_, id)) = got {
+                reference.pop_first();
+                prop_assert_eq!(drops.borrow()[id], 1, "payload {} dropped once", id);
+            }
+            Ok(got.is_some())
+        };
+        for &t in &times {
+            schedule(&mut q, &mut reference, SimTime::from_millis(t));
+        }
+        for (op, now) in steps {
+            match op {
+                QueueOp::Schedule(ns) => {
+                    let t = after(q.now(), ns);
+                    schedule(&mut q, &mut reference, t);
+                }
+                QueueOp::Burst(count, ns) => {
+                    let t = after(q.now(), ns);
+                    for _ in 0..count {
+                        schedule(&mut q, &mut reference, t);
+                    }
+                }
+                QueueOp::NearMax(ns) => {
+                    let t = SimTime::from_nanos(u64::MAX - ns).max(q.now());
+                    schedule(&mut q, &mut reference, t);
+                }
+                QueueOp::PopDue(ns) => {
+                    let until = deadline(q.now(), ns);
+                    deliver(&mut q, &mut reference, until)?;
+                }
+                QueueOp::Advance(ns) => {
+                    let barrier = after(q.now(), ns);
+                    while deliver(&mut q, &mut reference, barrier)? {}
+                    q.advance_to(barrier);
+                    prop_assert_eq!(q.now(), barrier);
+                }
+            }
+            for _ in 0..now {
+                let t = q.now();
+                schedule(&mut q, &mut reference, t);
+            }
+            prop_assert_eq!(q.len(), reference.len());
+            let drops = drops.borrow();
+            for &(_, id) in &reference {
+                prop_assert_eq!(drops[id], 0, "pending payload {} was dropped", id);
+            }
+        }
+        let delivered = q.events_processed();
+        prop_assert_eq!(delivered as usize + q.len(), drops.borrow().len());
+        drop(q);
+        let drops = drops.borrow();
+        let wrong = drops.iter().position(|&n| n != 1);
+        prop_assert_eq!(wrong, None, "dropped {:?} times", wrong.map(|id| drops[id]));
     }
 
     /// StepSeries conserves mass: the weighted sum of window averages
