@@ -38,6 +38,15 @@
 //! `sim_properties::event_queue_delivers_each_payload_once` check
 //! delivery against a sorted reference.
 //!
+//! [`EventQueue::due`] lends out the payloads in `due` without popping
+//! them. One refill makes a whole instant's batch due at once (at 100k
+//! cameras on a millisecond grid, ~100 frames), so a consumer learns every
+//! record the batch's handlers will read before the first of them runs.
+//! Reading those records in one short loop overlaps their misses the way
+//! the refill overlaps the slab's, where each handler would otherwise wait
+//! for its own (`World::run_until` in `microedge-core` does this;
+//! EXPERIMENTS.md, "Warmed due records").
+//!
 //! # Examples
 //!
 //! ```
@@ -227,6 +236,38 @@ impl<E> EventQueue<E> {
             );
         }
         self.now = time;
+    }
+
+    /// The payloads of the events already due at [`EventQueue::now`], in
+    /// the order the next pops deliver them; the queue does not change.
+    ///
+    /// After any pop this is every event still pending at `now`, including
+    /// those scheduled at `now` since, and it is empty once the next pending
+    /// event is later. Right after [`EventQueue::advance_to`] moves the
+    /// clock it may be empty while events at `now` wait in a bucket; the
+    /// next pop moves them here. An event loop reads it to warm the
+    /// records its handlers are about to touch (see the module docs).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use microedge_sim::event::EventQueue;
+    /// use microedge_sim::time::SimTime;
+    ///
+    /// let mut q = EventQueue::new();
+    /// let t = SimTime::from_millis(5);
+    /// q.schedule_at(t, "a");
+    /// q.schedule_at(t, "b");
+    /// q.schedule_at(SimTime::from_millis(9), "c");
+    /// assert_eq!(q.pop(), Some((t, "a")));
+    /// q.schedule_at(t, "d");
+    /// assert!(q.due().eq(&["b", "d"]));
+    /// q.pop();
+    /// q.pop();
+    /// assert_eq!(q.due().count(), 0);
+    /// ```
+    pub fn due(&self) -> impl Iterator<Item = &E> + '_ {
+        self.due.iter()
     }
 
     /// The timestamp of the earliest pending event, if any, without popping.

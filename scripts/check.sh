@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI-style gate: formatting, the source and manifest gates clippy cannot
 # express, clippy -D warnings, the microedge-core panic-site ratchet, rustdoc
-# links, build, the test suite, and the repro determinism gate (the paper
-# artifacts' stdout and all seven BENCH_*.json at 1 and 8 workers). LINTS.md
+# links, build, the test suite, and the repro artifact gate (the paper
+# artifacts' stdout and all seven BENCH_*.json at 1 and 8 workers, and the
+# six committed BENCH_*.json against their full-size regeneration). LINTS.md
 # maps each rule to its gate. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
@@ -63,23 +64,36 @@ cargo test --quiet --workspace
 # Benchmark artifacts mix deterministic simulation output with host
 # measurements (wall time, events/s, RSS, worker and core counts), which
 # crates/bench/src/artifact.rs writes on "host_" lines of their own. One
-# repro run per worker count writes every study's artifact; with host lines
-# stripped, each must be byte-identical across worker counts, and so must
-# the default --quick stdout.
+# repro run per worker count writes every study's artifact at full size. With
+# host lines stripped, each must be byte-identical across worker counts, and
+# each committed BENCH_*.json must match the one regenerated here; so must
+# the default --quick stdout across worker counts. The studies' stdout
+# carries wall-clock columns and is not compared.
 artifacts="$(mktemp -d)"
 trap 'rm -rf "$artifacts"' EXIT
 for workers in 1 8; do
-  echo "==> repro --quick, then every study --quick (MICROEDGE_WORKERS=$workers)"
+  echo "==> repro --quick, then every study at full size (MICROEDGE_WORKERS=$workers)"
   MICROEDGE_WORKERS=$workers cargo run --quiet --release -p microedge-bench --bin repro -- \
     --quick > "$artifacts/stdout.$workers"
   MICROEDGE_WORKERS=$workers cargo run --quiet --release -p microedge-bench --bin repro -- \
-    --chaos --scale --fleet --net --defrag --perf --quick --csv "$artifacts/$workers" > /dev/null
+    --chaos --scale --fleet --net --defrag --perf --csv "$artifacts/$workers" > /dev/null
 done
+# Stripped copies are written by plain commands, so a missing artifact fails
+# here instead of comparing as empty.
+strip_host() {
+  grep -v '"host_' "$1" > "$2"
+}
 echo "==> determinism: stdout and host_-stripped artifacts at 1 vs 8 workers"
 cmp "$artifacts/stdout.1" "$artifacts/stdout.8"
 for name in chaos kernel admission scale fleet net defrag; do
-  cmp <(grep -v '"host_' "$artifacts/1/BENCH_$name.json") \
-    <(grep -v '"host_' "$artifacts/8/BENCH_$name.json")
+  strip_host "$artifacts/1/BENCH_$name.json" "$artifacts/$name.1"
+  strip_host "$artifacts/8/BENCH_$name.json" "$artifacts/$name.8"
+  cmp "$artifacts/$name.1" "$artifacts/$name.8"
+done
+echo "==> committed artifacts: host_-stripped BENCH_*.json match the regenerated ones"
+for name in kernel admission scale fleet net defrag; do
+  strip_host "BENCH_$name.json" "$artifacts/$name.committed"
+  cmp "$artifacts/$name.committed" "$artifacts/$name.1"
 done
 
 echo "All checks passed."

@@ -2,7 +2,7 @@
 //! arithmetic the whole system rests on.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use proptest::prelude::*;
@@ -232,6 +232,97 @@ proptest! {
         let drops = drops.borrow();
         let wrong = drops.iter().position(|&n| n != 1);
         prop_assert_eq!(wrong, None, "dropped {:?} times", wrong.map(|id| drops[id]));
+    }
+
+    /// `due()` promises what the next pops deliver at the current instant.
+    /// After every pop it must yield, in order, exactly the payloads that
+    /// the following pops deliver at that same instant, counting the
+    /// events scheduled at `now` in between; it must be empty when the next
+    /// pop's time is later.
+    #[test]
+    fn event_queue_due_lists_the_rest_of_the_instant(
+        times in prop::collection::vec(0u64..1_000, 1..100),
+        steps in prop::collection::vec((queue_op(), 0usize..3), 0..200),
+    ) {
+        let mut q = EventQueue::new();
+        let mut next = 0usize;
+        // What the last pop promised: the payloads still due at its
+        // instant. `None` until a pop, and again after the clock is moved
+        // without one (an event scheduled then waits in a bucket).
+        let mut promised: Option<(SimTime, VecDeque<usize>)> = None;
+        let mut schedule = |q: &mut EventQueue<usize>,
+                            promised: &mut Option<(SimTime, VecDeque<usize>)>,
+                            t: SimTime| {
+            q.schedule_at(t, next);
+            if let Some((at, ids)) = promised {
+                if *at == t {
+                    ids.push_back(next);
+                }
+            }
+            next += 1;
+        };
+        let deliver = |q: &mut EventQueue<usize>,
+                       promised: &mut Option<(SimTime, VecDeque<usize>)>,
+                       until: SimTime|
+         -> Result<bool, String> {
+            let Some((t, id)) = q.pop_due(until) else {
+                return Ok(false);
+            };
+            if let Some((at, ids)) = promised {
+                if *at == t {
+                    prop_assert_eq!(ids.pop_front(), Some(id), "due() listed this pop");
+                } else {
+                    prop_assert!(ids.is_empty(), "due() listed {:?} at {}, next pop is at {}", ids, at, t);
+                }
+            }
+            *promised = Some((t, q.due().copied().collect()));
+            Ok(true)
+        };
+        for &t in &times {
+            schedule(&mut q, &mut promised, SimTime::from_millis(t));
+        }
+        for (op, now) in steps {
+            match op {
+                QueueOp::Schedule(ns) => {
+                    let t = after(q.now(), ns);
+                    schedule(&mut q, &mut promised, t);
+                }
+                QueueOp::Burst(count, ns) => {
+                    let t = after(q.now(), ns);
+                    for _ in 0..count {
+                        schedule(&mut q, &mut promised, t);
+                    }
+                }
+                QueueOp::NearMax(ns) => {
+                    let t = SimTime::from_nanos(u64::MAX - ns).max(q.now());
+                    schedule(&mut q, &mut promised, t);
+                }
+                QueueOp::PopDue(ns) => {
+                    let until = deadline(q.now(), ns);
+                    deliver(&mut q, &mut promised, until)?;
+                }
+                QueueOp::Advance(ns) => {
+                    let barrier = after(q.now(), ns);
+                    while deliver(&mut q, &mut promised, barrier)? {}
+                    if let Some((_, ids)) = &promised {
+                        prop_assert!(ids.is_empty(), "due() listed {:?} past a drain", ids);
+                    }
+                    if barrier > q.now() {
+                        promised = None;
+                    }
+                    q.advance_to(barrier);
+                }
+            }
+            for _ in 0..now {
+                let t = q.now();
+                schedule(&mut q, &mut promised, t);
+            }
+            if let Some((_, ids)) = &promised {
+                prop_assert!(q.due().eq(ids.iter()), "due() {:?} != {:?}", q.due().collect::<Vec<_>>(), ids);
+            }
+        }
+        while deliver(&mut q, &mut promised, SimTime::from_nanos(u64::MAX))? {}
+        prop_assert_eq!(q.due().count(), 0);
     }
 
     /// StepSeries conserves mass: the weighted sum of window averages
