@@ -4,18 +4,17 @@
 //!
 //! - **native K3s** — the base pod-launch distribution;
 //! - **MicroEdge** — base launch plus the extended scheduler's work: the
-//!   admission decision itself (measured, microseconds), the LBS
-//!   configuration push, and a model `Load` into TPU memory when the model
-//!   is already compiled;
+//!   LBS configuration push and a model `Load` into TPU memory when the
+//!   model is already compiled;
 //! - **MicroEdge + co-compile** — the camera brings a *new* model, so the
 //!   co-compiler runs — in a separate process, **in parallel** with the
 //!   extended scheduler, exactly as the paper describes: the mean barely
 //!   moves but the variance grows because the launch completes at
 //!   `max(base path, compile path)`.
 //!
-//! The admission algorithm's own cost is also measured directly with the
-//! host clock to substantiate the paper's scalability claim (O(M), trivial
-//! at edge-cluster sizes).
+//! The admission decision's own cost, the paper's scalability claim (O(M),
+//! trivial at edge-cluster sizes), is host-timed by the sweep below, never
+//! in Fig. 7a, so the paper artifacts read no host clock.
 //!
 //! ## The admission-throughput sweep (`repro --perf`)
 //!
@@ -235,31 +234,6 @@ pub fn run_overhead(samples: u32, seed: u64) -> Vec<OverheadStats> {
     ]
 }
 
-/// Measures the wall-clock cost of the admission algorithm itself at a
-/// given pool size — the paper's O(M) scalability argument.
-#[must_use]
-pub fn measure_admission_micros(tpus: u32, iterations: u32) -> f64 {
-    let cluster = crate::runner::experiment_cluster(tpus);
-    let mut pool = TpuPool::from_cluster(&cluster, TpuSpec::coral_usb());
-    let catalog = Catalog::builtin();
-    let profile = catalog.expect(&"ssd-mobilenet-v2".into()).clone();
-    let mut policy = FirstFit::new();
-    // Pre-load the pool to a realistic 50 % so scans do real work.
-    let half = TpuUnits::from_f64(0.5);
-    for account in pool.accounts().to_vec() {
-        pool.commit(
-            &profile,
-            &[microedge_core::pool::Allocation::new(account.id(), half)],
-        );
-    }
-    let start = Instant::now();
-    for _ in 0..iterations {
-        let plan = policy.plan(&pool, &profile, TpuUnits::from_f64(0.35), Features::all());
-        std::hint::black_box(&plan);
-    }
-    start.elapsed().as_secs_f64() * 1e6 / f64::from(iterations)
-}
-
 /// TPU counts the admission-throughput sweep covers, with the
 /// `plan_into` iteration count timed at each size. Iterations shrink as
 /// the fleet grows because the *linear* side's cost grows with M; the
@@ -434,10 +408,10 @@ pub fn run_admission_perf_with(sizes: &[(u32, u32)], rounds: u32) -> AdmissionPe
 }
 
 /// Runs the standard sweep ([`ADMISSION_SWEEP`]): 16 / 256 / 4096 /
-/// 16 384 TPUs.
+/// 16 384 TPUs, best of 3 rounds.
 #[must_use]
-pub fn run_admission_perf(rounds: u32) -> AdmissionPerf {
-    run_admission_perf_with(&ADMISSION_SWEEP, rounds)
+pub fn run_admission_perf() -> AdmissionPerf {
+    run_admission_perf_with(&ADMISSION_SWEEP, 3)
 }
 
 /// Renders the Fig. 7a table from the rows [`run_overhead`] computed over
@@ -453,19 +427,9 @@ pub fn render_fig7a(rows: &[OverheadStats], samples: u32) -> String {
             format!("{:+.1}%", r.overhead_pct()),
         ]);
     }
-    let algo_us = measure_admission_micros(100, 10_000);
-    // The decision cost sits well under a microsecond; printing the raw
-    // sub-µs digits would make the report differ run to run on host-clock
-    // noise alone, so bucket it (the claim being substantiated is only
-    // "O(M) and trivial at edge-cluster sizes").
-    let algo = if algo_us < 1.0 {
-        "< 1".to_owned()
-    } else {
-        format!("{algo_us:.0}")
-    };
     format!(
         "### Fig. 7a — admission-control overhead ({samples} launches)\n{table}\n\
-         admission algorithm itself at 100 TPUs: {algo} µs per decision (measured)\n"
+         admission decision cost: `repro --perf`, Admission scalability (16–16 384 TPUs)\n"
     )
 }
 
@@ -506,15 +470,6 @@ mod tests {
             "stds {:.0} vs {:.0}",
             cc.std_ms(),
             me.std_ms()
-        );
-    }
-
-    #[test]
-    fn admission_algorithm_is_microseconds_at_100_tpus() {
-        let us = measure_admission_micros(100, 2000);
-        assert!(
-            us < 1000.0,
-            "O(M) scan should be far under 1 ms, got {us} µs"
         );
     }
 
@@ -562,7 +517,10 @@ mod tests {
         let text = render_fig7a(&run_overhead(500, 3), 500);
         assert!(text.contains("native k3s"));
         assert!(text.contains("microedge + co-compile"));
-        assert!(text.contains("µs per decision"));
+        assert!(
+            text.contains("Admission scalability"),
+            "points to the measured sweep"
+        );
     }
 
     #[test]

@@ -2,19 +2,17 @@
 //!
 //! ```text
 //! repro [--fig1] [--fig5] [--table1] [--fig6] [--fig7a] [--fig7b] [--ablations]
-//!       [--chaos] [--perf] [--scale] [--fleet] [--net] [--defrag] [--quick] [--csv <dir>]
+//!       [--chaos] [--perf] [--scale] [--fleet] [--net] [--defrag] [--csv <dir>]
 //! ```
 //!
 //! Every artifact is one row of [`ARTIFACTS`]. With no selection flag the
 //! paper artifacts (`--fig1` … `--ablations`) run; the studies run only
-//! when asked for. `--quick` shrinks frame counts, traces and fleets for a
-//! fast smoke pass; `--csv <dir>` also dumps each selected artifact's
-//! series as CSV for external plotting.
+//! when asked for. Every artifact has one size, the one committed;
+//! `--csv <dir>` also dumps each selected artifact's series as CSV for
+//! external plotting.
 //!
 //! The studies write `BENCH_*.json` (to the `--csv` directory if given,
-//! else the working directory; a `--quick` study needs `--csv`, so a smoke
-//! pass never replaces a committed artifact) through
-//! [`microedge_bench::artifact`]:
+//! else the working directory) through [`microedge_bench::artifact`]:
 //! `--chaos` the fault-injection study (`BENCH_chaos.json`, simulated time
 //! only), `--scale` the 1k→100k serial and sharded 100k/1M scale-out
 //! (`BENCH_scale.json`), `--perf` the scale study and then the kernel and
@@ -40,7 +38,6 @@ use std::process::ExitCode;
 use microedge_bench as bench;
 use microedge_bench::runner::SystemConfig;
 use microedge_cluster::cost::CostModel;
-use microedge_sim::time::SimDuration;
 use microedge_workloads::apps::CameraApp;
 use microedge_workloads::trace::{synthesize, TraceConfig};
 
@@ -52,13 +49,13 @@ struct Artifact {
     default: bool,
     /// Whether it reads the host clock, and so runs alone.
     host_timed: bool,
-    /// Renders it, `--quick` or full.
-    run: fn(bool) -> Output,
+    /// Renders it.
+    run: fn() -> Output,
 }
 
 impl Artifact {
     /// A paper artifact: in the default set.
-    const fn paper(flags: &'static [&'static str], run: fn(bool) -> Output) -> Self {
+    const fn paper(flags: &'static [&'static str], run: fn() -> Output) -> Self {
         Self {
             flags,
             default: true,
@@ -68,7 +65,7 @@ impl Artifact {
     }
 
     /// A study: runs only when one of `flags` is given.
-    const fn study(flags: &'static [&'static str], run: fn(bool) -> Output) -> Self {
+    const fn study(flags: &'static [&'static str], run: fn() -> Output) -> Self {
         Self {
             flags,
             default: false,
@@ -91,7 +88,7 @@ static ARTIFACTS: [Artifact; 13] = [
     Artifact::paper(&["--fig5"], fig5),
     Artifact::paper(&["--table1"], table1),
     Artifact::paper(&["--fig6"], fig6),
-    Artifact::paper(&["--fig7a"], fig7a).host_timed(),
+    Artifact::paper(&["--fig7a"], fig7a),
     Artifact::paper(&["--fig7b"], fig7b),
     Artifact::paper(&["--ablations"], ablations),
     Artifact::study(&["--chaos"], chaos),
@@ -143,17 +140,8 @@ impl Output {
     }
 
     /// Writes the BENCH files, and under `--csv` the CSV series, into
-    /// `csv_dir` or else the working directory. A `--quick` run's BENCH
-    /// files go only to an explicit `csv_dir`: in the repo root they would
-    /// replace the committed full-mode artifacts, so without one nothing is
-    /// written and the call fails.
-    fn write(&self, csv_dir: Option<&Path>, quick: bool) -> io::Result<()> {
-        if let (true, None, Some((name, _))) = (quick, csv_dir, self.bench.first()) {
-            return Err(io::Error::other(format!(
-                "refusing to write {name} from a --quick run into the working directory; \
-                 pass --csv <dir>"
-            )));
-        }
+    /// `csv_dir` or else the working directory.
+    fn write(&self, csv_dir: Option<&Path>) -> io::Result<()> {
         let csv: &[_] = if csv_dir.is_some() { &self.csv } else { &[] };
         let dir = csv_dir.unwrap_or(Path::new("."));
         for (name, body) in csv.iter().chain(&self.bench) {
@@ -185,15 +173,10 @@ fn csv_line(fields: &[String]) -> String {
     quoted.join(",")
 }
 
-fn frames(quick: bool) -> u64 {
-    if quick {
-        150
-    } else {
-        1000
-    }
-}
+/// Frames per camera in the paper artifacts' data-plane sweeps.
+const FRAMES: u64 = 1000;
 
-fn fig1(_quick: bool) -> Output {
+fn fig1() -> Output {
     let mut out = Output::default();
     out.print(bench::fig1::render_fig1());
     let header = "model,inference_ms,fps_for_full_util,sustains_15fps";
@@ -208,7 +191,7 @@ fn fig1(_quick: bool) -> Output {
     out
 }
 
-fn fig5(quick: bool) -> Output {
+fn fig5() -> Output {
     let mut out = Output::default();
     for (app, configs) in [
         (
@@ -220,7 +203,7 @@ fn fig5(quick: bool) -> Output {
             vec![SystemConfig::Baseline, SystemConfig::microedge_full()],
         ),
     ] {
-        let points = bench::scalability::fig5_sweep(&app, &configs, 6, frames(quick));
+        let points = bench::scalability::fig5_sweep(&app, &configs, 6, FRAMES);
         out.print(bench::scalability::render_sweep(&app, &points));
         let header = "config,tpus,max_cameras,avg_utilization,slo_met";
         out.csv(&format!("fig5_{}", app.name()), header, &points, |p| {
@@ -236,7 +219,7 @@ fn fig5(quick: bool) -> Output {
     out
 }
 
-fn table1(_quick: bool) -> Output {
+fn table1() -> Output {
     let mut out = Output::default();
     let app = CameraApp::coral_pie();
     out.print(bench::cost::render_table1(&app, 17));
@@ -252,29 +235,24 @@ fn table1(_quick: bool) -> Output {
     out
 }
 
-fn fig6(quick: bool) -> Output {
+fn fig6() -> Output {
     use bench::trace_study::{render_fig6, render_fig6_summary, run_fig6, TraceOutcome};
     let mut out = Output::default();
-    let mut trace_cfg = TraceConfig::microedge_downsized();
-    if quick {
-        trace_cfg.duration = SimDuration::from_secs(5 * 60);
-    }
+    let trace_cfg = TraceConfig::microedge_downsized();
     let trace = synthesize(&trace_cfg, 42);
     let outcomes = run_fig6(&trace, &trace_cfg, 6);
     out.print(render_fig6(&outcomes));
-    if !quick {
-        // The paper (§6.3): "to fully understand the benefits of
-        // co-compilation and workload partitioning, we would need to run a
-        // much larger configuration of the workload on a larger cluster.
-        // Such a study would show a stronger separation".
-        let scaled_cfg = trace_cfg.scaled(2.5);
-        let scaled_trace = synthesize(&scaled_cfg, 43);
-        let scaled = run_fig6(&scaled_trace, &scaled_cfg, 12);
-        out.print(render_fig6_summary(
-            "Fig. 6 at 2.5× workload on 12 TPUs (the paper's predicted stronger separation)",
-            &scaled,
-        ));
-    }
+    // The paper (§6.3): "to fully understand the benefits of
+    // co-compilation and workload partitioning, we would need to run a
+    // much larger configuration of the workload on a larger cluster.
+    // Such a study would show a stronger separation".
+    let scaled_cfg = trace_cfg.scaled(2.5);
+    let scaled_trace = synthesize(&scaled_cfg, 43);
+    let scaled = run_fig6(&scaled_trace, &scaled_cfg, 12);
+    out.print(render_fig6_summary(
+        "Fig. 6 at 2.5× workload on 12 TPUs (the paper's predicted stronger separation)",
+        &scaled,
+    ));
     type SeriesFn = fn(&TraceOutcome) -> &[f64];
     let exports: [(&str, SeriesFn); 2] = [
         ("fig6a_utilization", |o| o.windowed_utilization()),
@@ -298,10 +276,10 @@ fn fig6(quick: bool) -> Output {
     out
 }
 
-fn fig7a(quick: bool) -> Output {
+fn fig7a() -> Output {
     use bench::admission_overhead::{render_fig7a, run_overhead};
     let mut out = Output::default();
-    let samples = if quick { 500 } else { 5000 };
+    let samples = 5000;
     let rows = run_overhead(samples, 42);
     out.print(render_fig7a(&rows, samples));
     let header = "config,mean_ms,std_ms,overhead_pct";
@@ -316,10 +294,10 @@ fn fig7a(quick: bool) -> Output {
     out
 }
 
-fn fig7b(quick: bool) -> Output {
+fn fig7b() -> Output {
     use bench::latency_breakdown::{measure_breakdown, render_fig7b, serverless_row};
     let mut out = Output::default();
-    let frames = frames(quick).min(300);
+    let frames = FRAMES.min(300);
     out.print(render_fig7b(frames));
     let rows = [
         measure_breakdown(SystemConfig::Baseline, frames),
@@ -336,9 +314,9 @@ fn fig7b(quick: bool) -> Output {
     out
 }
 
-fn ablations(quick: bool) -> Output {
+fn ablations() -> Output {
     let mut out = Output::default();
-    let frames = frames(quick).min(300);
+    let frames = FRAMES.min(300);
     out.print(bench::latency_breakdown::render_serverless_ablation());
     out.print(bench::packing::render_packing(60, 6, 10));
     out.print(bench::pipeline_ablation::render_pipeline_ablation(frames));
@@ -347,33 +325,31 @@ fn ablations(quick: bool) -> Output {
     out
 }
 
-fn chaos(quick: bool) -> Output {
-    use bench::chaos::{chaos_horizon, render_chaos, run_chaos, to_json};
+fn chaos() -> Output {
+    use bench::chaos::{render_chaos, run_chaos, to_json};
     let mut out = Output::default();
-    let horizon = chaos_horizon(quick);
-    let points = run_chaos(horizon);
-    out.print(render_chaos(&points, horizon));
-    out.json("BENCH_chaos.json", to_json(&points, horizon));
+    let points = run_chaos();
+    out.print(render_chaos(&points));
+    out.json("BENCH_chaos.json", to_json(&points));
     out
 }
 
-fn perf(quick: bool) -> Output {
+fn perf() -> Output {
     let mut out = Output::default();
-    let rounds = if quick { 1 } else { 3 };
-    let kernel = bench::perf::run_kernel_perf(rounds);
+    let kernel = bench::perf::run_kernel_perf();
     out.print(kernel.render_summary());
     out.json("BENCH_kernel.json", kernel.to_json());
-    let admission = bench::admission_overhead::run_admission_perf(rounds);
+    let admission = bench::admission_overhead::run_admission_perf();
     out.print(bench::scalability::render_admission_scalability(&admission));
     out.json("BENCH_admission.json", admission.to_json());
     out
 }
 
-fn scale(quick: bool) -> Output {
+fn scale() -> Output {
     let mut out = Output::default();
-    let serial = bench::scale::run_scale(quick);
+    let serial = bench::scale::run_scale();
     out.print(serial.render_summary());
-    let sharded = bench::scale_sharded::run_scale_sharded(quick);
+    let sharded = bench::scale_sharded::run_scale_sharded();
     out.print(sharded.render_summary());
     out.json(
         "BENCH_scale.json",
@@ -382,33 +358,29 @@ fn scale(quick: bool) -> Output {
     out
 }
 
-fn fleet(quick: bool) -> Output {
-    use bench::fleet::{render_fleet, run_fleet_chaos, run_fleet_perf, run_fleet_perf_with};
+fn fleet() -> Output {
+    use bench::fleet::{render_fleet, run_fleet_chaos, run_fleet_perf};
     let mut out = Output::default();
-    let tiers = run_fleet_chaos(quick);
-    let perf = if quick {
-        run_fleet_perf_with(&[(64, 2_000), (512, 500), (4096, 200)], 1)
-    } else {
-        run_fleet_perf(3)
-    };
+    let tiers = run_fleet_chaos();
+    let perf = run_fleet_perf();
     out.print(render_fleet(&perf, &tiers));
     out.json("BENCH_fleet.json", bench::fleet::to_json(&perf, &tiers));
     out
 }
 
-fn net(quick: bool) -> Output {
+fn net() -> Output {
     use bench::netchaos::{render_net_chaos, run_net_chaos, to_json};
     let mut out = Output::default();
-    let tiers = run_net_chaos(quick);
+    let tiers = run_net_chaos();
     out.print(render_net_chaos(&tiers));
     out.json("BENCH_net.json", to_json(&tiers));
     out
 }
 
-fn defrag(quick: bool) -> Output {
+fn defrag() -> Output {
     use bench::defrag::{render_defrag, run_defrag_study, to_json};
     let mut out = Output::default();
-    let study = run_defrag_study(quick);
+    let study = run_defrag_study();
     out.print(render_defrag(&study));
     out.json("BENCH_defrag.json", to_json(&study));
     out
@@ -419,16 +391,14 @@ fn usage_error(message: &str) -> ! {
     std::process::exit(2)
 }
 
-/// The selected artifacts in table order, `--quick`, and the `--csv`
-/// directory. A usage error exits with status 2.
-fn parse_args() -> (Vec<&'static Artifact>, bool, Option<PathBuf>) {
-    let mut quick = false;
+/// The selected artifacts in table order and the `--csv` directory. A
+/// usage error exits with status 2.
+fn parse_args() -> (Vec<&'static Artifact>, Option<PathBuf>) {
     let mut csv_dir = None;
     let mut flags: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
             "--csv" => match args.next() {
                 Some(dir) => csv_dir = Some(PathBuf::from(dir)),
                 None => usage_error("--csv requires a directory argument"),
@@ -437,7 +407,7 @@ fn parse_args() -> (Vec<&'static Artifact>, bool, Option<PathBuf>) {
             other => {
                 let known: Vec<&str> = ARTIFACTS.iter().map(|a| a.flags[0]).collect();
                 usage_error(&format!(
-                    "unknown flag {other}; known: {} --quick --csv <dir>",
+                    "unknown flag {other}; known: {} --csv <dir>",
                     known.join(" ")
                 ));
             }
@@ -453,23 +423,23 @@ fn parse_args() -> (Vec<&'static Artifact>, bool, Option<PathBuf>) {
             }
         })
         .collect();
-    (selected, quick, csv_dir)
+    (selected, csv_dir)
 }
 
 fn main() -> ExitCode {
-    let (selected, quick, csv_dir) = parse_args();
+    let (selected, csv_dir) = parse_args();
     println!("MicroEdge reproduction — paper artifacts\n");
     let batch: Vec<usize> = (0..selected.len())
         .filter(|&i| !selected[i].host_timed)
         .collect();
     let mut outputs: Vec<Option<Output>> = selected.iter().map(|_| None).collect();
-    for (i, out) in microedge_sim::par::par_map(batch, |_, i| (i, (selected[i].run)(quick))) {
+    for (i, out) in microedge_sim::par::par_map(batch, |_, i| (i, (selected[i].run)())) {
         outputs[i] = Some(out);
     }
     for (artifact, done) in selected.iter().zip(outputs) {
-        let out = done.unwrap_or_else(|| (artifact.run)(quick));
+        let out = done.unwrap_or_else(|| (artifact.run)());
         print!("{}", out.text);
-        if let Err(e) = out.write(csv_dir.as_deref(), quick) {
+        if let Err(e) = out.write(csv_dir.as_deref()) {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
@@ -480,7 +450,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microedge_bench::artifact::strip_host_lines;
 
     #[test]
     fn csv_fields_are_quoted_when_needed() {
@@ -488,30 +457,30 @@ mod tests {
         assert_eq!(csv_line(&fields), "plain,\"with,comma\",\"with\"\"quote\"");
     }
 
-    /// Every BENCH file renders the same deterministic part twice, and
-    /// every key on a line holding a `host_` key is a `host_` key.
+    /// In each committed BENCH file, every key on a line holding a
+    /// `host_` key is a `host_` key, so stripping host lines removes no
+    /// deterministic field. Their deterministic part is checked against a
+    /// regeneration, at 1 and 8 workers, by `scripts/check.sh`.
     #[test]
-    fn bench_files_are_deterministic_once_host_lines_are_stripped() {
-        for artifact in &ARTIFACTS {
-            let first = (artifact.run)(true);
-            if first.bench.is_empty() {
-                continue;
-            }
-            let second = (artifact.run)(true);
-            assert_eq!(first.bench.len(), second.bench.len());
-            for ((name, a), (_, b)) in first.bench.iter().zip(&second.bench) {
+    fn committed_bench_files_keep_host_keys_on_host_lines() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for name in [
+            "chaos",
+            "kernel",
+            "admission",
+            "scale",
+            "fleet",
+            "net",
+            "defrag",
+        ] {
+            let name = format!("BENCH_{name}.json");
+            let body = std::fs::read_to_string(root.join(&name)).unwrap();
+            for line in body.lines().filter(|l| l.contains("\"host_")) {
                 assert_eq!(
-                    strip_host_lines(a),
-                    strip_host_lines(b),
-                    "{name} differs between two renders"
+                    line.matches("\": ").count(),
+                    line.matches("\"host_").count(),
+                    "{name}: a host line holds a deterministic key: {line}"
                 );
-                for line in a.lines().filter(|l| l.contains("\"host_")) {
-                    assert_eq!(
-                        line.matches("\": ").count(),
-                        line.matches("\"host_").count(),
-                        "{name}: a host line holds a deterministic key: {line}"
-                    );
-                }
             }
         }
     }

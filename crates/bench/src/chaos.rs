@@ -25,6 +25,8 @@ pub const CHAOS_TPUS: u32 = 6;
 pub const CHAOS_STREAMS: u64 = 12;
 /// Seed for the generated fault schedule.
 pub const CHAOS_SEED: u64 = 42;
+/// The study horizon: 15 simulated minutes.
+pub const CHAOS_HORIZON: SimTime = SimTime::from_secs(900);
 
 /// The three recovery disciplines compared.
 pub const MODES: [&str; 3] = ["no-heal", "heal", "heal+degrade"];
@@ -127,17 +129,17 @@ fn build_chaos_world(mode: &'static str) -> World {
     world
 }
 
-/// Runs one cell of the study over `horizon` of simulated time.
+/// Runs one cell of the study over [`CHAOS_HORIZON`] of simulated time.
 #[must_use]
-pub fn run_chaos_point(mode: &'static str, rate: u32, horizon: SimTime) -> ChaosPoint {
+pub fn run_chaos_point(mode: &'static str, rate: u32) -> ChaosPoint {
     let mut world = build_chaos_world(mode);
     let cluster = experiment_cluster(CHAOS_TPUS);
-    let schedule = FaultSchedule::generate(&fault_model(rate), &cluster, horizon, CHAOS_SEED);
+    let schedule = FaultSchedule::generate(&fault_model(rate), &cluster, CHAOS_HORIZON, CHAOS_SEED);
     world.inject_faults(&schedule);
-    world.run_until(horizon);
-    let results = world.finish(horizon);
+    world.run_until(CHAOS_HORIZON);
+    let results = world.finish(CHAOS_HORIZON);
 
-    let window = SimDuration::from_nanos(horizon.as_nanos());
+    let window = SimDuration::from_nanos(CHAOS_HORIZON.as_nanos());
     let mut availability_sum = 0.0;
     let mut downtime_s = 0.0;
     let mut degraded_s = 0.0;
@@ -173,29 +175,17 @@ pub fn run_chaos_point(mode: &'static str, rate: u32, horizon: SimTime) -> Chaos
 /// the deterministic parallel executor. Result order is fixed regardless
 /// of worker count.
 #[must_use]
-pub fn run_chaos(horizon: SimTime) -> Vec<ChaosPoint> {
+pub fn run_chaos() -> Vec<ChaosPoint> {
     let cells: Vec<(&'static str, u32)> = MODES
         .iter()
         .flat_map(|&mode| RATES.iter().map(move |&rate| (mode, rate)))
         .collect();
-    microedge_sim::par::par_map(cells, |_, (mode, rate)| {
-        run_chaos_point(mode, rate, horizon)
-    })
-}
-
-/// The study horizon: 15 simulated minutes (3 under `--quick`).
-#[must_use]
-pub fn chaos_horizon(quick: bool) -> SimTime {
-    if quick {
-        SimTime::from_secs(180)
-    } else {
-        SimTime::from_secs(900)
-    }
+    microedge_sim::par::par_map(cells, |_, (mode, rate)| run_chaos_point(mode, rate))
 }
 
 /// Renders the comparison table `repro --chaos` prints.
 #[must_use]
-pub fn render_chaos(points: &[ChaosPoint], horizon: SimTime) -> String {
+pub fn render_chaos(points: &[ChaosPoint]) -> String {
     let mut table = microedge_metrics::report::Table::new(&[
         "discipline",
         "fault rate",
@@ -232,14 +222,14 @@ pub fn render_chaos(points: &[ChaosPoint], horizon: SimTime) -> String {
         "### Chaos / failure recovery — {} streams on {} TPUs, {:.0} min horizon, seed {}\n{table}",
         CHAOS_STREAMS,
         CHAOS_TPUS,
-        horizon.as_secs_f64() / 60.0,
+        CHAOS_HORIZON.as_secs_f64() / 60.0,
         CHAOS_SEED,
     )
 }
 
 /// Renders the `BENCH_chaos.json` document.
 #[must_use]
-pub fn to_json(points: &[ChaosPoint], horizon: SimTime) -> String {
+pub fn to_json(points: &[ChaosPoint]) -> String {
     artifact::document(|d| {
         d.str("benchmark", "chaos_failure_recovery")
             .str(
@@ -248,7 +238,7 @@ pub fn to_json(points: &[ChaosPoint], horizon: SimTime) -> String {
                     "{CHAOS_STREAMS} mixed-model streams, {CHAOS_TPUS} TPUs, seed {CHAOS_SEED}"
                 ),
             )
-            .num("horizon_s", horizon.as_nanos() / 1_000_000_000)
+            .num("horizon_s", CHAOS_HORIZON.as_nanos() / 1_000_000_000)
             .rows("points", 4, points, |r, p| {
                 r.str("mode", p.mode)
                     .num("rate", p.rate)
@@ -275,9 +265,8 @@ mod tests {
 
     #[test]
     fn healing_strictly_beats_no_heal_on_the_same_schedule() {
-        let horizon = chaos_horizon(true);
-        let no_heal = run_chaos_point("no-heal", 4, horizon);
-        let degrade = run_chaos_point("heal+degrade", 4, horizon);
+        let no_heal = run_chaos_point("no-heal", 4);
+        let degrade = run_chaos_point("heal+degrade", 4);
         assert!(
             no_heal.lost > 0,
             "the 4x schedule must displace someone: {no_heal:?}"
@@ -299,8 +288,7 @@ mod tests {
 
     #[test]
     fn recovery_latency_decomposes_into_three_phases() {
-        let horizon = chaos_horizon(true);
-        let p = run_chaos_point("heal", 2, horizon);
+        let p = run_chaos_point("heal", 2);
         assert!(p.recoveries > 0, "{p:?}");
         // Detection is dominated by the 4 s heartbeat lease.
         assert!(p.detection_ms >= 1_000.0, "{p:?}");
@@ -315,21 +303,15 @@ mod tests {
     }
 
     #[test]
-    fn json_names_the_study_and_every_mode() {
-        let horizon = chaos_horizon(true);
-        let a = to_json(&run_chaos(horizon), horizon);
-        assert!(a.contains("\"benchmark\": \"chaos_failure_recovery\""));
-        assert!(a.contains("\"mode\": \"no-heal\""));
-        assert!(a.contains("\"mode\": \"heal+degrade\""));
-        assert!(a.ends_with("}\n"));
-    }
-
-    #[test]
-    fn table_lists_every_cell() {
-        let horizon = chaos_horizon(true);
-        let points = run_chaos(horizon);
+    fn json_and_table_name_the_study_and_every_cell() {
+        let points = run_chaos();
         assert_eq!(points.len(), MODES.len() * RATES.len());
-        let text = render_chaos(&points, horizon);
+        let json = to_json(&points);
+        assert!(json.contains("\"benchmark\": \"chaos_failure_recovery\""));
+        assert!(json.contains("\"mode\": \"no-heal\""));
+        assert!(json.contains("\"mode\": \"heal+degrade\""));
+        assert!(json.ends_with("}\n"));
+        let text = render_chaos(&points);
         for mode in MODES {
             assert!(text.contains(mode));
         }

@@ -43,18 +43,16 @@ use microedge_tpu::device::TpuId;
 use crate::artifact::{self, fixed};
 use crate::packing::l2_lower_bound;
 
-/// TPUs in the churn cluster (full mode).
+/// TPUs in the churn cluster.
 pub const DEFRAG_TPUS: u32 = 24;
-/// Churn rounds in full mode: 24 hours at one round per minute.
+/// Churn rounds: 24 hours at one round per minute.
 pub const DEFRAG_ROUNDS: u32 = 1440;
-/// Quick-mode cluster size.
-pub const DEFRAG_TPUS_QUICK: u32 = 12;
-/// Quick-mode rounds (2 hours).
-pub const DEFRAG_ROUNDS_QUICK: u32 = 120;
+/// Per-round probability that a camera arrives.
+pub const ARRIVE_CHANCE: f64 = 0.9;
 /// A planning cycle runs every this many rounds (= simulated minutes).
 pub const DEFRAG_EVERY_ROUNDS: u32 = 3;
 /// Per-round probability that a live camera departs. The steady-state
-/// fleet is `arrival_rate / DEPART_CHANCE` cameras.
+/// fleet is `ARRIVE_CHANCE / DEPART_CHANCE` cameras.
 pub const DEPART_CHANCE: f64 = 1.0 / 45.0;
 /// Trace seed.
 pub const DEFRAG_SEED: u64 = 0x00DE_F7A6;
@@ -357,37 +355,22 @@ pub fn run_fleet_arm(defrag: bool) -> DefragFleetArm {
 /// The full study: both churn arms plus both fleet arms.
 #[derive(Debug, Clone)]
 pub struct DefragStudy {
-    /// TPUs in the churn cluster.
-    pub tpus: u32,
-    /// Churn rounds replayed (one per simulated minute).
-    pub rounds: u32,
     /// Churn arms: `[plain, defrag]`.
     pub arms: Vec<DefragArm>,
     /// Fleet arms: `[plain, defrag]`.
     pub fleet: Vec<DefragFleetArm>,
 }
 
-/// Runs the study. Quick mode shrinks the trace to 2 simulated hours on
-/// half the TPUs (tests, CI smoke); arms run in parallel via the
-/// deterministic `par_map`, so worker count never touches the results.
+/// Runs the study. Arms run in parallel via the deterministic `par_map`,
+/// so worker count never touches the results.
 #[must_use]
-pub fn run_defrag_study(quick: bool) -> DefragStudy {
-    let (tpus, rounds, arrival_chance) = if quick {
-        (DEFRAG_TPUS_QUICK, DEFRAG_ROUNDS_QUICK, 0.45)
-    } else {
-        (DEFRAG_TPUS, DEFRAG_ROUNDS, 0.9)
-    };
-    let trace = churn_trace(rounds, arrival_chance, DEFRAG_SEED);
+pub fn run_defrag_study() -> DefragStudy {
+    let trace = churn_trace(DEFRAG_ROUNDS, ARRIVE_CHANCE, DEFRAG_SEED);
     let arms = microedge_sim::par::par_map(vec![false, true], |_, defrag| {
-        run_churn_arm(&trace, tpus, defrag)
+        run_churn_arm(&trace, DEFRAG_TPUS, defrag)
     });
     let fleet = microedge_sim::par::par_map(vec![false, true], |_, defrag| run_fleet_arm(defrag));
-    DefragStudy {
-        tpus,
-        rounds,
-        arms,
-        fleet,
-    }
+    DefragStudy { arms, fleet }
 }
 
 fn arm_label(defrag: bool) -> &'static str {
@@ -444,13 +427,10 @@ pub fn render_defrag(study: &DefragStudy) -> String {
         ]);
     }
     format!(
-        "### Online defragmentation — {rounds}-minute churn trace, {tpus} TPUs \
+        "### Online defragmentation — {DEFRAG_ROUNDS}-minute churn trace, {DEFRAG_TPUS} TPUs \
          (packing efficiency = L2 lower bound / TPUs used)\n{table}\n\
-         ### Fleet section — {clusters}×2-TPU clusters, 0.8-unit late admits \
+         ### Fleet section — {FLEET_CLUSTERS}×2-TPU clusters, 0.8-unit late admits \
          through the front door\n{fleet_table}\n",
-        rounds = study.rounds,
-        tpus = study.tpus,
-        clusters = FLEET_CLUSTERS,
     )
 }
 
@@ -462,12 +442,10 @@ pub fn to_json(study: &DefragStudy) -> String {
             .str(
                 "workload",
                 &format!(
-                    "{rounds}-round churn trace on {tpus} TPUs \
+                    "{DEFRAG_ROUNDS}-round churn trace on {DEFRAG_TPUS} TPUs \
                      (1 round = 1 simulated minute; 80% 0.10-0.50-unit cameras, 20% 0.70-0.95; \
                      depart p={DEPART_CHANCE:.4}/round; defrag cycle every {DEFRAG_EVERY_ROUNDS} rounds) + \
-                     {FLEET_CLUSTERS}x2-TPU sharded fleet with late 0.8-unit front-door admits",
-                    rounds = study.rounds,
-                    tpus = study.tpus,
+                     {FLEET_CLUSTERS}x2-TPU sharded fleet with late 0.8-unit front-door admits"
                 ),
             )
             .rows("arms", 6, &study.arms, |r, a| {
@@ -522,8 +500,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_study_defrag_dominates_plain() {
-        let study = run_defrag_study(true);
+    fn study_defrag_dominates_plain() {
+        let study = run_defrag_study();
         let plain = &study.arms[0];
         let defrag = &study.arms[1];
         assert!(!plain.defrag && defrag.defrag);

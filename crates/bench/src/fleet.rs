@@ -270,10 +270,11 @@ pub fn run_fleet_perf_with(sizes: &[(u32, u32)], rounds: u32) -> FleetPerf {
     FleetPerf { rounds, points }
 }
 
-/// Runs the standard sweep ([`FLEET_SWEEP`]): 64 / 512 / 4096 clusters.
+/// Runs the standard sweep ([`FLEET_SWEEP`]): 64 / 512 / 4096 clusters,
+/// best of 3 rounds.
 #[must_use]
-pub fn run_fleet_perf(rounds: u32) -> FleetPerf {
-    run_fleet_perf_with(&FLEET_SWEEP, rounds)
+pub fn run_fleet_perf() -> FleetPerf {
+    run_fleet_perf_with(&FLEET_SWEEP, 3)
 }
 
 // ───────────────────────── fleet chaos tiers ─────────────────────────
@@ -377,24 +378,19 @@ pub fn run_fleet_chaos_tier(clusters: u32, regions: u32, killed: u32) -> FleetCh
     }
 }
 
-/// The chaos fleet shape: 32 clusters in 4 regions with kill tiers
-/// 1 / 4 / 16 (quick: 12 clusters, kill 1 / 4).
-#[must_use]
-pub fn chaos_tiers(quick: bool) -> (u32, u32, &'static [u32]) {
-    if quick {
-        (12, 4, &[1, 4])
-    } else {
-        (32, 4, &[1, 4, 16])
-    }
-}
+/// Clusters in the chaos fleet.
+pub const CHAOS_CLUSTERS: u32 = 32;
+/// Regions the chaos fleet spans.
+pub const CHAOS_REGIONS: u32 = 4;
+/// Clusters killed at once, one tier each.
+pub const CHAOS_KILL_TIERS: [u32; 3] = [1, 4, 16];
 
-/// Runs every chaos tier for the given mode.
+/// Runs every chaos tier.
 #[must_use]
-pub fn run_fleet_chaos(quick: bool) -> Vec<FleetChaosTier> {
-    let (clusters, regions, kills) = chaos_tiers(quick);
-    kills
+pub fn run_fleet_chaos() -> Vec<FleetChaosTier> {
+    CHAOS_KILL_TIERS
         .iter()
-        .map(|&killed| run_fleet_chaos_tier(clusters, regions, killed))
+        .map(|&killed| run_fleet_chaos_tier(CHAOS_CLUSTERS, CHAOS_REGIONS, killed))
         .collect()
 }
 
@@ -551,7 +547,10 @@ mod tests {
     #[test]
     fn fleet_json_keeps_timings_on_host_lines() {
         let perf = run_fleet_perf_with(&[(64, 20)], 1);
-        let tiers = run_fleet_chaos(true);
+        let tiers = vec![
+            run_fleet_chaos_tier(12, 4, 1),
+            run_fleet_chaos_tier(12, 4, 4),
+        ];
         let json = to_json(&perf, &tiers);
         assert!(json.contains("\"benchmark\": \"fleet_front_door\""));
         assert!(json.contains("\"host_speedup_at_4096\": null"));

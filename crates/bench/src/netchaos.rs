@@ -129,15 +129,9 @@ impl NetChaosTier {
     }
 }
 
-/// Frame budget of the pre-admitted exporting cameras (15 FPS).
-#[must_use]
-pub fn export_frames(quick: bool) -> u64 {
-    if quick {
-        150 // 10 s
-    } else {
-        360 // 24 s — outlives the flapping, so every suspicion reconciles
-    }
-}
+/// Frame budget of the pre-admitted exporting cameras (24 s at 15 FPS):
+/// outlives the flapping, so every suspicion reconciles.
+pub const NET_EXPORT_FRAMES: u64 = 360;
 
 /// A schedule degrading every uplink from t = 0 at `loss_ppm`.
 #[must_use]
@@ -160,21 +154,14 @@ pub fn loss_schedule(loss_ppm: u32) -> LinkSchedule {
 
 /// The staggered square-wave partition schedule of the flapping tier.
 #[must_use]
-pub fn flapping_schedule(quick: bool) -> LinkSchedule {
-    let until = if quick {
-        // The quick workload drains around 11 s; stop flapping early
-        // enough that the runs stays comparable, not reconciled.
-        SimTime::from_secs(10)
-    } else {
-        FLAP_UNTIL
-    };
+pub fn flapping_schedule() -> LinkSchedule {
     LinkSchedule::flapping(
         NET_CLUSTERS,
         SimTime::ZERO + FLAP_FIRST,
         FLAP_DOWN,
         FLAP_UP,
         FLAP_STAGGER,
-        until,
+        FLAP_UNTIL,
     )
 }
 
@@ -191,20 +178,18 @@ pub fn run_net_tier(
     label: &str,
     loss_ppm: u32,
     schedule: LinkSchedule,
-    quick: bool,
     workers: usize,
 ) -> NetChaosTier {
     let fleet = (0..NET_CLUSTERS).map(|_| ClusterBuilder::new().trpis(1).vrpis(4).build());
     let mut world = ShardedWorld::new(fleet, Features::all())
         .with_front_door(NET_REGIONS, 1)
         .with_network(NetConfig::new(schedule));
-    let frames = export_frames(quick);
     for c in 0..NET_EXPORT_STREAMS {
         world.admit_global(
             SimTime::ZERO,
             c * NET_REGIONS / NET_CLUSTERS,
             StreamSpec::builder(&format!("cam-{c}"), "ssd-mobilenet-v2")
-                .frame_limit(frames)
+                .frame_limit(NET_EXPORT_FRAMES)
                 .export_completions(true)
                 .start_offset(SimDuration::from_millis(u64::from(c) * 997 % 1000))
                 .build(),
@@ -217,7 +202,7 @@ pub fn run_net_tier(
             SimTime::from_millis(2_000 + u64::from(i) * 400),
             i % NET_REGIONS,
             StreamSpec::builder(&format!("late-{i}"), "ssd-mobilenet-v2")
-                .frame_limit(frames / 2)
+                .frame_limit(NET_EXPORT_FRAMES / 2)
                 .build(),
         );
     }
@@ -244,22 +229,16 @@ pub fn run_net_tier(
 
 /// Runs every tier: the four loss tiers, then the flapping-partition tier.
 #[must_use]
-pub fn run_net_chaos(quick: bool) -> Vec<NetChaosTier> {
+pub fn run_net_chaos() -> Vec<NetChaosTier> {
     let workers = microedge_sim::par::worker_count(NET_CLUSTERS as usize);
     let mut tiers: Vec<NetChaosTier> = LOSS_TIERS_PPM
         .iter()
         .map(|&ppm| {
             let label = format!("{}%", ppm as f64 / 10_000.0);
-            run_net_tier(&label, ppm, loss_schedule(ppm), quick, workers)
+            run_net_tier(&label, ppm, loss_schedule(ppm), workers)
         })
         .collect();
-    tiers.push(run_net_tier(
-        "flapping",
-        0,
-        flapping_schedule(quick),
-        quick,
-        workers,
-    ));
+    tiers.push(run_net_tier("flapping", 0, flapping_schedule(), workers));
     tiers
 }
 
@@ -378,8 +357,8 @@ mod tests {
 
     #[test]
     fn loss_tiers_degrade_monotonically() {
-        let zero = run_net_tier("0%", 0, loss_schedule(0), true, 2);
-        let ten = run_net_tier("10%", 100_000, loss_schedule(100_000), true, 2);
+        let zero = run_net_tier("0%", 0, loss_schedule(0), 2);
+        let ten = run_net_tier("10%", 100_000, loss_schedule(100_000), 2);
         assert!((zero.goodput() - 1.0).abs() < f64::EPSILON);
         assert_eq!(zero.net.detection.false_positives, 0);
         assert!(ten.goodput() < 1.0);
@@ -389,7 +368,7 @@ mod tests {
 
     #[test]
     fn flapping_tier_false_positives_and_reconciles() {
-        let t = run_net_tier("flapping", 0, flapping_schedule(false), false, 2);
+        let t = run_net_tier("flapping", 0, flapping_schedule(), 2);
         assert!(t.net.detection.false_positives > 0);
         assert!(t.net.detection.reconciliations > 0);
         assert_eq!(
@@ -403,8 +382,8 @@ mod tests {
     #[test]
     fn net_json_keeps_wall_time_on_host_lines() {
         let tiers = vec![
-            run_net_tier("0.1%", 1_000, loss_schedule(1_000), true, 1),
-            run_net_tier("flapping", 0, flapping_schedule(true), true, 1),
+            run_net_tier("0.1%", 1_000, loss_schedule(1_000), 1),
+            run_net_tier("flapping", 0, flapping_schedule(), 1),
         ];
         let json = to_json(&tiers);
         assert!(json.contains("\"benchmark\": \"net_chaos\""));

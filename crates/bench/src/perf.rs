@@ -139,12 +139,12 @@ pub fn run_kernel_perf_with(
 }
 
 /// Times the reference workload: the 60-minute downsized trace, seed 42,
-/// 6 TPUs.
+/// 6 TPUs, best of 3 rounds.
 #[must_use]
-pub fn run_kernel_perf(rounds: u32) -> KernelPerf {
+pub fn run_kernel_perf() -> KernelPerf {
     let mut cfg = TraceConfig::microedge_downsized();
     cfg.duration = SimDuration::from_secs(3600);
-    run_kernel_perf_with(&cfg, 42, 6, rounds)
+    run_kernel_perf_with(&cfg, 42, 6, 3)
 }
 
 #[cfg(test)]
@@ -152,7 +152,7 @@ mod tests {
     use super::*;
     use crate::artifact::strip_host_lines;
 
-    fn quick_perf() -> KernelPerf {
+    fn five_minute_perf() -> KernelPerf {
         let mut cfg = TraceConfig::microedge_downsized();
         cfg.duration = SimDuration::from_secs(5 * 60);
         run_kernel_perf_with(&cfg, 7, 6, 1)
@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn harness_reports_work_and_time() {
-        let perf = quick_perf();
+        let perf = five_minute_perf();
         assert!(perf.wall_s > 0.0);
         assert!(perf.events > 0);
         assert_eq!(perf.per_config.len(), 5);
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn json_keeps_timings_on_host_lines() {
-        let perf = quick_perf();
+        let perf = five_minute_perf();
         let json = perf.to_json();
         assert!(json.contains("\"host_wall_s\""));
         assert!(json.contains("\"host_events_per_sec\""));
@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn summary_mentions_every_config() {
-        let perf = quick_perf();
+        let perf = five_minute_perf();
         let text = perf.render_summary();
         for c in &perf.per_config {
             assert!(text.contains(&c.config));

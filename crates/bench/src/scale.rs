@@ -110,16 +110,8 @@ pub struct ScaleStudy {
     pub invariance: TelemetryInvariance,
 }
 
-/// The stream counts the study sweeps: tiny in quick mode (tests, CI
-/// smoke), 1k → 100k otherwise.
-#[must_use]
-pub fn scale_stream_counts(quick: bool) -> &'static [u64] {
-    if quick {
-        &[100, 250]
-    } else {
-        &[1_000, 10_000, 50_000, 100_000]
-    }
-}
+/// The stream counts the study sweeps: 1k → 100k.
+pub const SCALE_STREAM_COUNTS: [u64; 4] = [1_000, 10_000, 50_000, 100_000];
 
 /// `VmHWM` (peak resident set) of this process in bytes, from
 /// `/proc/self/status`; `None` where the file or field is absent.
@@ -201,15 +193,15 @@ pub fn run_scale_point(streams: u64, frame_limit: u64) -> ScalePoint {
 
 /// Runs the full sweep plus the frame-count invariance pair.
 #[must_use]
-pub fn run_scale(quick: bool) -> ScaleStudy {
-    let counts = scale_stream_counts(quick);
-    let points: Vec<ScalePoint> = counts
+pub fn run_scale() -> ScaleStudy {
+    let points: Vec<ScalePoint> = SCALE_STREAM_COUNTS
         .iter()
         .map(|&n| run_scale_point(n, SCALE_FRAME_LIMIT))
         .collect();
-    let doubled = run_scale_point(counts[0], SCALE_FRAME_LIMIT * 2);
+    let smallest = SCALE_STREAM_COUNTS[0];
+    let doubled = run_scale_point(smallest, SCALE_FRAME_LIMIT * 2);
     let invariance = TelemetryInvariance {
-        streams: counts[0],
+        streams: smallest,
         bytes_at_1x_frames: points[0].telemetry_bytes,
         bytes_at_2x_frames: doubled.telemetry_bytes,
     };
@@ -303,7 +295,17 @@ mod tests {
 
     #[test]
     fn summary_reports_every_point() {
-        let study = run_scale(true);
+        let points = vec![run_scale_point(100, 3), run_scale_point(250, 3)];
+        let invariance = TelemetryInvariance {
+            streams: 100,
+            bytes_at_1x_frames: points[0].telemetry_bytes,
+            bytes_at_2x_frames: run_scale_point(100, 6).telemetry_bytes,
+        };
+        let study = ScaleStudy {
+            frame_limit: 3,
+            points,
+            invariance,
+        };
         let text = study.render_summary();
         for p in &study.points {
             assert!(text.contains(&p.streams.to_string()));

@@ -87,21 +87,13 @@ pub struct ShardedScaleStudy {
     pub points: Vec<ShardedScalePoint>,
 }
 
-/// The `(streams, shards)` pairs the sharded study sweeps: tiny in quick
-/// mode (tests, CI smoke), 100k and the 1M-camera tier otherwise. Stream
-/// counts divide evenly by their shard counts, and full-tier shards hold
-/// 2 000 streams each — small enough that a shard's queue and working set
-/// stay cache-sized (the serial sweep shows per-event cost climbing from
-/// the 1k-stream tier to the 100k tier as both grow), big enough that one
-/// shard is a realistic edge cluster.
-#[must_use]
-pub fn sharded_stream_counts(quick: bool) -> &'static [(u64, u32)] {
-    if quick {
-        &[(400, 4)]
-    } else {
-        &[(100_000, 50), (1_000_000, 500)]
-    }
-}
+/// The `(streams, shards)` pairs the sharded study sweeps: 100k and the
+/// 1M-camera tier. Stream counts divide evenly by their shard counts, and
+/// shards hold 2 000 streams each — small enough that a shard's queue and
+/// working set stay cache-sized (the serial sweep shows per-event cost
+/// climbing from the 1k-stream tier to the 100k tier as both grow), big
+/// enough that one shard is a realistic edge cluster.
+pub const SHARDED_STREAM_COUNTS: [(u64, u32); 2] = [(100_000, 50), (1_000_000, 500)];
 
 /// Runs one sharded point with an explicit worker count.
 ///
@@ -180,8 +172,8 @@ pub fn run_sharded_point(streams: u64, shards: u32, frame_limit: u64) -> Sharded
 
 /// Runs the whole sharded sweep.
 #[must_use]
-pub fn run_scale_sharded(quick: bool) -> ShardedScaleStudy {
-    let points = sharded_stream_counts(quick)
+pub fn run_scale_sharded() -> ShardedScaleStudy {
+    let points = SHARDED_STREAM_COUNTS
         .iter()
         .map(|&(streams, shards)| run_sharded_point(streams, shards, SCALE_FRAME_LIMIT))
         .collect();
@@ -325,7 +317,16 @@ mod tests {
 
     #[test]
     fn bench_json_contains_both_studies() {
-        let serial = crate::scale::run_scale(true);
+        let point = crate::scale::run_scale_point(64, 3);
+        let serial = crate::scale::ScaleStudy {
+            frame_limit: 3,
+            invariance: crate::scale::TelemetryInvariance {
+                streams: 64,
+                bytes_at_1x_frames: point.telemetry_bytes,
+                bytes_at_2x_frames: point.telemetry_bytes,
+            },
+            points: vec![point],
+        };
         let sharded = ShardedScaleStudy {
             frame_limit: 3,
             points: vec![run_sharded_point_with_workers(32, 2, 3, 1)],
@@ -335,10 +336,6 @@ mod tests {
         assert!(json.contains("\"sharded\""));
         assert!(json.contains("\"export_stride\""));
         assert!(json.contains("\"telemetry_invariance\""));
-        assert_eq!(
-            serial.invariance.bytes_at_1x_frames,
-            serial.invariance.bytes_at_2x_frames
-        );
         assert!(json.ends_with("}\n"));
         let opens = json.matches(['{', '[']).count();
         let closes = json.matches(['}', ']']).count();

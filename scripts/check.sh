@@ -2,9 +2,10 @@
 # CI-style gate: formatting, the source and manifest gates clippy cannot
 # express, clippy -D warnings, the microedge-core panic-site ratchet, rustdoc
 # links, build, the test suite, and the repro artifact gate (the paper
-# artifacts' stdout and all seven BENCH_*.json at 1 and 8 workers, and the
-# six committed BENCH_*.json against their full-size regeneration). LINTS.md
-# maps each rule to its gate. Run from anywhere inside the repo.
+# artifacts' stdout and all seven BENCH_*.json at 1 and 8 workers, the
+# 8-worker run under overflow traps, and the seven committed BENCH_*.json
+# against their regeneration). LINTS.md maps each rule to its gate. Run from
+# anywhere inside the repo.
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
@@ -64,19 +65,32 @@ cargo test --quiet --workspace
 # Benchmark artifacts mix deterministic simulation output with host
 # measurements (wall time, events/s, RSS, worker and core counts), which
 # crates/bench/src/artifact.rs writes on "host_" lines of their own. One
-# repro run per worker count writes every study's artifact at full size. With
-# host lines stripped, each must be byte-identical across worker counts, and
-# each committed BENCH_*.json must match the one regenerated here; so must
-# the default --quick stdout across worker counts. The studies' stdout
-# carries wall-clock columns and is not compared.
+# repro run per worker count prints the paper artifacts and writes every
+# study's artifact. The 8-worker runs use a release build with
+# `-C overflow-checks=on` (the target dir CI's overflow step reuses), so every
+# study, the 1M-camera tier included, runs once with arithmetic traps. With
+# host lines stripped, each artifact must be byte-identical across worker
+# counts, and each committed BENCH_*.json must match the one regenerated
+# here; so must the paper stdout across worker counts (the cargo tests hold
+# it to its committed golden). The studies' stdout carries wall-clock columns
+# and is not compared.
 artifacts="$(mktemp -d)"
 trap 'rm -rf "$artifacts"' EXIT
+overflow_target="${CARGO_TARGET_DIR:-target}/overflow"
+repro() {
+  local workers=$1
+  shift
+  if ((workers == 1)); then
+    MICROEDGE_WORKERS=1 cargo run --quiet --release -p microedge-bench --bin repro -- "$@"
+  else
+    MICROEDGE_WORKERS=$workers RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR="$overflow_target" \
+      cargo run --quiet --release -p microedge-bench --bin repro -- "$@"
+  fi
+}
 for workers in 1 8; do
-  echo "==> repro --quick, then every study at full size (MICROEDGE_WORKERS=$workers)"
-  MICROEDGE_WORKERS=$workers cargo run --quiet --release -p microedge-bench --bin repro -- \
-    --quick > "$artifacts/stdout.$workers"
-  MICROEDGE_WORKERS=$workers cargo run --quiet --release -p microedge-bench --bin repro -- \
-    --chaos --scale --fleet --net --defrag --perf --csv "$artifacts/$workers" > /dev/null
+  echo "==> repro: paper artifacts, then every study (MICROEDGE_WORKERS=$workers)"
+  repro "$workers" > "$artifacts/stdout.$workers"
+  repro "$workers" --chaos --scale --fleet --net --defrag --perf --csv "$artifacts/$workers" > /dev/null
 done
 # Stripped copies are written by plain commands, so a missing artifact fails
 # here instead of comparing as empty.
@@ -91,7 +105,7 @@ for name in chaos kernel admission scale fleet net defrag; do
   cmp "$artifacts/$name.1" "$artifacts/$name.8"
 done
 echo "==> committed artifacts: host_-stripped BENCH_*.json match the regenerated ones"
-for name in kernel admission scale fleet net defrag; do
+for name in chaos kernel admission scale fleet net defrag; do
   strip_host "BENCH_$name.json" "$artifacts/$name.committed"
   cmp "$artifacts/$name.committed" "$artifacts/$name.1"
 done
