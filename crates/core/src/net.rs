@@ -64,7 +64,7 @@ use microedge_sim::rng::{splitmix64, DetRng};
 use microedge_sim::time::{SimDuration, SimTime};
 
 use crate::faults::{ClassRates, DetectionModel};
-use microedge_metrics::net::{DetectionStats, NetStats};
+use microedge_metrics::net::{ChannelStats, DetectionStats, NetStats};
 
 /// Parameters of a degraded (but not partitioned) link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -357,6 +357,20 @@ pub fn draw_drops(draw: u64, loss_ppm: u32) -> bool {
     draw % 1_000_000 < u64::from(loss_ppm)
 }
 
+/// Counts one best-effort message's fate in `ledger` (sent, then
+/// delivered and maybe reordered, or dropped) and passes it through.
+pub fn count_telemetry(ledger: &mut ChannelStats, fate: Option<Transit>) -> Option<Transit> {
+    ledger.sent += 1;
+    match fate {
+        Some(t) => {
+            ledger.delivered += 1;
+            ledger.reordered += u64::from(t.reordered);
+        }
+        None => ledger.dropped += 1,
+    }
+    fate
+}
+
 /// One link's lane: current state plus its slice of the schedule.
 #[derive(Debug, Clone)]
 struct LinkLane {
@@ -487,20 +501,23 @@ impl Transport {
     /// Sends one best-effort telemetry message (frame export, summary
     /// refresh). `None` means dropped — counted, never retransmitted.
     pub fn send_telemetry(&mut self, link: u32, key: u64) -> Option<Transit> {
-        self.stats.telemetry.sent += 1;
-        match self.transit(link, QosClass::Telemetry, key, 1) {
-            Some(t) => {
-                self.stats.telemetry.delivered += 1;
-                if t.reordered {
-                    self.stats.telemetry.reordered += 1;
-                }
-                Some(t)
-            }
-            None => {
-                self.stats.telemetry.dropped += 1;
-                None
-            }
-        }
+        let fate = self.telemetry_fate(link, key);
+        count_telemetry(&mut self.stats.telemetry, fate)
+    }
+
+    /// The fate [`Transport::send_telemetry`] would draw, without counting
+    /// it: a pure function of `key` and the link's state. Callers that draw
+    /// off the transport's thread count each fate with [`count_telemetry`]
+    /// and fold the ledger in with [`Transport::merge_telemetry`].
+    #[must_use]
+    pub fn telemetry_fate(&self, link: u32, key: u64) -> Option<Transit> {
+        self.transit(link, QosClass::Telemetry, key, 1)
+    }
+
+    /// Folds a ledger of fates drawn with [`Transport::telemetry_fate`]
+    /// into the telemetry class.
+    pub fn merge_telemetry(&mut self, ledger: &ChannelStats) {
+        self.stats.telemetry.merge(ledger);
     }
 
     /// Sends one unacked heartbeat; `true` when it reaches the detector.

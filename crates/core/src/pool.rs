@@ -278,13 +278,16 @@ impl CapacityIndex {
         self.available -= 1;
     }
 
-    /// Moves an available TPU between free-capacity values.
+    /// Moves an available TPU between free-capacity values: one climb of
+    /// the tree, and the available count stays.
     fn update(&mut self, id: u32, old_free: u64, new_free: u64) {
         if old_free == new_free {
             return;
         }
-        self.remove(id, old_free);
-        self.insert(id, new_free);
+        self.set_leaf(id, new_free);
+        self.by_free.remove(&(old_free, id));
+        self.by_free.insert((new_free, id));
+        self.total_free = self.total_free - old_free + new_free;
     }
 
     /// First available TPU with id ≥ `start` and free ≥ `min` (`min` ≥ 1),
@@ -897,6 +900,30 @@ mod tests {
         p.restore(TpuId(2));
         assert_eq!(p.capacity_summary(), recomputed_summary(&p));
         assert_eq!(p.capacity_summary().total_free_micro, 2_650_000);
+    }
+
+    #[test]
+    fn index_stays_derived_through_interleaved_mutations() {
+        let mut p = pool(3);
+        let m = ssd_mobilenet_v2();
+        let u = unet_v2();
+        let steps: [&dyn Fn(&mut TpuPool); 10] = [
+            &|p| drop(p.commit(&m, &[alloc(0, 0.35), alloc(1, 0.5)])),
+            &|p| p.fail(TpuId(1)),
+            // A failed TPU's load moves while the index does not track it.
+            &|p| p.release(m.id(), &[alloc(1, 0.5)]),
+            &|p| drop(p.commit(&u, &[alloc(1, 0.25), alloc(2, 1.0)])),
+            &|p| p.restore(TpuId(1)),
+            &|p| drop(p.commit(&m, &[alloc(0, 0.35)])),
+            &|p| p.release(u.id(), &[alloc(2, 1.0)]),
+            &|p| p.fail(TpuId(0)),
+            &|p| p.release(m.id(), &[alloc(0, 0.7)]),
+            &|p| p.restore(TpuId(0)),
+        ];
+        for (i, step) in steps.iter().enumerate() {
+            step(&mut p);
+            assert!(p.index_is_derived(), "index diverged after step {i}");
+        }
     }
 
     #[test]

@@ -2573,14 +2573,37 @@ impl World {
     /// read (see [`World::streams_read_by`]); independent loads in one loop
     /// overlap their misses.
     fn warm_due(&self) {
-        let mut fold = 0u64;
-        for ev in self.queue.due() {
-            for id in self.streams_read_by(ev).into_iter().flatten() {
-                if let Some(stream) = self.streams.get(id.index()) {
-                    fold ^= stream.warm();
-                }
-            }
-        }
+        self.warm_streams(
+            self.queue
+                .due()
+                .flat_map(|ev| self.streams_read_by(ev).into_iter().flatten()),
+        );
+    }
+
+    /// Loads the stream records that the handlers of every event pending
+    /// at or before `until` read, before [`World::run_until`]`(until)`
+    /// runs them. It makes two passes: one collects the ids from the
+    /// events' slab slots, the next reads the records. The loads within
+    /// each pass do not depend on one another, so their misses overlap. A
+    /// sharded replay calls this at each epoch start, because the other
+    /// shards' epochs have evicted this shard's working set. It only
+    /// reads, so it changes no outcome.
+    pub fn warm_until(&self, until: SimTime) {
+        let ids: Vec<StreamId> = self
+            .queue
+            .pending_until(until)
+            .flat_map(|ev| self.streams_read_by(ev).into_iter().flatten())
+            .collect();
+        self.warm_streams(ids);
+    }
+
+    /// Reads each of `ids`' records ([`StreamRuntime::warm`]), folded into
+    /// one value so the loads are not optimised away.
+    fn warm_streams(&self, ids: impl IntoIterator<Item = StreamId>) {
+        let fold = ids
+            .into_iter()
+            .filter_map(|id| self.streams.get(id.index()))
+            .fold(0, |fold, stream| fold ^ stream.warm());
         std::hint::black_box(fold);
     }
 

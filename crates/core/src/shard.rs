@@ -11,17 +11,24 @@
 //!
 //! 1. **Partition.** Each shard drains its queue through
 //!    `EventQueue::pop_due(barrier)` (inclusive), so every event is handled
-//!    in exactly one epoch regardless of who else is running.
-//! 2. **Align.** Still inside the parallel step, each shard advances its
-//!    clock to the barrier (`World::advance_to`), so barrier-time
-//!    deliveries are legal on all shards, then runs its defragmenter tick
-//!    (`World::defrag_epoch`) and drains its outbox. All of it touches
-//!    only that shard.
+//!    in exactly one epoch regardless of who else is running. It first
+//!    reads the records those events' handlers touch
+//!    (`World::warm_until`), because the other shards' epochs have evicted
+//!    them; the pass only reads.
+//! 2. **Align and route.** Still inside the parallel step, each shard
+//!    advances its clock to the barrier (`World::advance_to`), so
+//!    barrier-time deliveries are legal on all shards, then runs its
+//!    defragmenter tick (`World::defrag_epoch`) and drains its outbox. It
+//!    stably sorts its exports by `(time, stream id)` and draws each one's
+//!    fate on its own uplink. A draw is a pure hash of the message and of
+//!    link state frozen at the epoch start. All of it touches only that
+//!    shard.
 //! 3. **Exchange.** Serial, like the mailbox release and the fleet and
-//!    network duties. Outbound frame exports are concatenated in shard
-//!    order and stably sorted by `(time, source shard, stream id)` — a
-//!    total order over messages that does not depend on thread
-//!    interleaving — then delivered to the destination shards' queues.
+//!    network duties. In source-shard order, the barrier adds each
+//!    source's telemetry counts to the ledger and schedules its surviving
+//!    exports into its ring successor's queue. Every destination has one
+//!    source, so its insertion order is that source's canonical order, a
+//!    total order that does not depend on thread interleaving.
 //!    Control-plane commands ([`WorldCommand`]) are released from a global
 //!    mailbox to their owning shard the same way, keyed by `(time,
 //!    submission seq)`.
@@ -63,6 +70,7 @@
 use std::collections::BTreeMap;
 
 use microedge_cluster::topology::Cluster;
+use microedge_metrics::net::ChannelStats;
 use microedge_metrics::recovery::{AvailabilityTracker, RecoveryBreakdown, RecoveryRecorder};
 use microedge_sim::par;
 use microedge_sim::rng::splitmix64;
@@ -72,7 +80,7 @@ use crate::config::Features;
 use crate::defrag::DefragConfig;
 use crate::faults::{ChaosConfig, DetectionModel, FaultSchedule, HealPolicy};
 use crate::fleet::{ClusterId, ClusterSummary, FrontDoor, PlacementStats};
-use crate::net::{NetConfig, NetReport, Transport};
+use crate::net::{count_telemetry, NetConfig, NetReport, Transport};
 use crate::runtime::{FrameExport, RunResults, StreamId, StreamSpec, World, WorldCommand};
 use crate::scheduler::DeployError;
 
@@ -326,7 +334,6 @@ pub struct ShardedWorld {
     /// Commands not yet released to their owning shard.
     mailbox: Vec<PendingCommand>,
     next_seq: u64,
-    exports_routed: u64,
     /// The fleet front door and its bookkeeping, armed by
     /// [`ShardedWorld::with_front_door`].
     fleet: Option<Box<FleetState>>,
@@ -362,7 +369,6 @@ impl ShardedWorld {
             now: SimTime::ZERO,
             mailbox: Vec::new(),
             next_seq: 0,
-            exports_routed: 0,
             fleet: None,
             net: None,
         }
@@ -434,12 +440,6 @@ impl ShardedWorld {
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Cross-shard frame exports delivered so far.
-    #[must_use]
-    pub fn exports_routed(&self) -> u64 {
-        self.exports_routed
     }
 
     /// Direct access to a shard (read-only; pre-run setup beyond admission
@@ -705,61 +705,44 @@ impl ShardedWorld {
                 n.pump_control(barrier, &mut self.shards);
             }
             // 2. Run every shard to the barrier in parallel, then align its
-            //    clock, tick its defragmenter and drain its outbox — all
-            //    shard-local, so workers only decide scheduling, not
-            //    behaviour. With every local event ≤ barrier drained and
+            //    clock, tick its defragmenter and draw its exports' fates —
+            //    all shard-local, so workers only decide scheduling, not
+            //    behaviour. The epoch starts with a warm pass over the
+            //    records its pending events read: the other shards' epochs
+            //    evicted them. With every local event ≤ barrier drained and
             //    the clock aligned, the shard is quiescent: the safe instant
             //    for the defragmenter to repack live placements (guard
             //    events it schedules land strictly after the barrier).
-            let (shards, outboxes): (Vec<World>, Vec<Vec<FrameExport>>) =
-                par::par_map_with_workers(
-                    std::mem::take(&mut self.shards),
-                    workers,
-                    move |_, mut shard| {
-                        shard.run_until(barrier);
-                        shard.advance_to(barrier);
-                        shard.defrag_epoch();
-                        let outbox = shard.take_outbox();
-                        (shard, outbox)
-                    },
-                )
-                .into_iter()
-                .unzip();
+            let transport = net.as_ref().map(|n| &n.transport);
+            let (shards, exports): (Vec<World>, Vec<RoutedExports>) = par::par_map_with_workers(
+                std::mem::take(&mut self.shards),
+                workers,
+                move |i, mut shard| {
+                    shard.warm_until(barrier);
+                    shard.run_until(barrier);
+                    shard.advance_to(barrier);
+                    shard.defrag_epoch();
+                    let link = u32::try_from(i).expect("shard count fits u32");
+                    let exports = route_exports(shard.take_outbox(), link, barrier, transport);
+                    (shard, exports)
+                },
+            )
+            .into_iter()
+            .unzip();
             self.shards = shards;
-            // 3. Barrier exchange, serial: messages in a canonical (time,
-            //    source shard, stream) order. `par_map` returns results in
-            //    shard order and the sort is stable.
-            let mut msgs: Vec<(u32, FrameExport)> = Vec::new();
-            for (i, outbox) in outboxes.into_iter().enumerate() {
-                let src = u32::try_from(i).expect("shard count fits u32");
-                msgs.extend(outbox.into_iter().map(|e| (src, e)));
-            }
-            msgs.sort_by_key(|(src, e)| (e.at, *src, e.stream));
+            // 3. Barrier hand-off, serial, in source-shard order. Ring
+            //    routing: each shard announces completions to its successor
+            //    (the aggregation peer), so every destination has exactly
+            //    one source and receives its exports in that source's
+            //    canonical order; `par_map` returns results in shard order.
             let k = u32::try_from(self.shards.len()).expect("shard count fits u32");
-            for (src, e) in msgs {
-                // Ring routing: each shard announces completions to its
-                // successor (the aggregation peer). Exports complete inside
-                // the epoch but their record instant can overhang the
-                // barrier (client post-processing); deliver at that instant,
-                // never before the barrier the receiver sits at. Under the
-                // network plane the export rides the source's uplink:
-                // best-effort — a drop is counted, never retransmitted — and
-                // a degraded link's extra delay pushes delivery to a later
-                // instant (released at a later barrier, still in the
-                // canonical order this serial loop imposes).
-                let dest = (src + 1) % k;
-                let delivery = match net.as_mut() {
-                    Some(n) => {
-                        let key = e.at.as_nanos().wrapping_add(splitmix64(e.stream.0));
-                        n.transport
-                            .send_telemetry(src, key)
-                            .map(|t| (e.at + t.extra).max(barrier))
-                    }
-                    None => Some(e.at.max(barrier)),
-                };
-                if let Some(at) = delivery {
-                    self.shards[shard_index(dest)].schedule_ingest(at, e.latency);
-                    self.exports_routed += 1;
+            for (src, routed) in (0..k).zip(exports) {
+                if let Some(n) = net.as_mut() {
+                    n.transport.merge_telemetry(&routed.ledger);
+                }
+                let dest = &mut self.shards[shard_index((src + 1) % k)];
+                for (at, latency) in routed.deliveries {
+                    dest.schedule_ingest(at, latency);
                 }
             }
             // 3b. Heartbeats: each live cluster beacons the fleet over its
@@ -807,6 +790,53 @@ impl ShardedWorld {
         };
         (results, report, net_report)
     }
+}
+
+/// One source shard's exports of an epoch, fates drawn: what the serial
+/// hand-off schedules into the destination, and the telemetry it counts.
+#[derive(Debug)]
+struct RoutedExports {
+    /// `(delivery instant, announced latency)` of each surviving export,
+    /// in the source's canonical `(completion, stream)` order.
+    deliveries: Vec<(SimTime, SimDuration)>,
+    /// Sent, delivered, dropped and reordered counts (all zero without a
+    /// network plane).
+    ledger: ChannelStats,
+}
+
+/// The per-source half of the export exchange, run on the source shard's
+/// worker. Sorts the outbox by `(completion, stream)` (stable), then draws
+/// each export's fate on the source's uplink `link`. An export completes
+/// inside the epoch, but its record instant can overhang the barrier
+/// (client post-processing); it is delivered at that instant, never before
+/// the barrier the receiver sits at. Under the network plane it is best
+/// effort: a drop is counted, never retransmitted, and a degraded link's
+/// extra delay pushes delivery to a later instant (released at a later
+/// barrier). Each draw is a pure function of `(completion, stream)` and
+/// the link state frozen at the epoch start, so no shared state is
+/// touched.
+fn route_exports(
+    mut outbox: Vec<FrameExport>,
+    link: u32,
+    barrier: SimTime,
+    transport: Option<&Transport>,
+) -> RoutedExports {
+    outbox.sort_by_key(|e| (e.at, e.stream));
+    let mut ledger = ChannelStats::default();
+    let deliveries = outbox
+        .iter()
+        .filter_map(|e| {
+            let extra = match transport {
+                Some(t) => {
+                    let key = e.at.as_nanos().wrapping_add(splitmix64(e.stream.0));
+                    count_telemetry(&mut ledger, t.telemetry_fate(link, key))?.extra
+                }
+                None => SimDuration::ZERO,
+            };
+            Some(((e.at + extra).max(barrier), e.latency))
+        })
+        .collect();
+    RoutedExports { deliveries, ledger }
 }
 
 impl NetPlane {
@@ -1710,5 +1740,88 @@ mod tests {
             let parallel = format!("{r:?}|{f:?}|{n:?}");
             assert_eq!(serial, parallel, "diverged at {workers} workers");
         }
+    }
+
+    #[test]
+    fn lossy_ring_routing_is_pinned() {
+        // Two exporters on shard 0, each on its own TPU, complete at the
+        // same instants, so their exports tie on time; every uplink loses
+        // 10 %. The values below were recorded with the exchange's draws
+        // made serially at the barrier; drawing them on the workers must
+        // not move them. The ledger's `delivered` is the count of routed
+        // exports. At the 2.51 s deadline, two routed exports whose delays
+        // carry them past it have not fired yet.
+        let build = || {
+            let lossy = LinkState::Degraded(DegradedLink::lossy(100_000));
+            let schedule =
+                LinkSchedule::scripted((0..3).map(|l| (SimTime::ZERO, l, lossy)).collect());
+            let mut sw = ShardedWorld::new((0..3).map(|_| cluster(2)), Features::all())
+                .with_network(NetConfig::new(schedule));
+            for name in ["tie-a", "tie-b"] {
+                let spec = StreamSpec::builder(name, "ssd-mobilenet-v2")
+                    .units(crate::units::TpuUnits::from_f64(0.6))
+                    .frame_limit(60)
+                    .export_completions(true)
+                    .build();
+                sw.admit_stream(0, spec).unwrap();
+            }
+            sw.admit_stream(1, spec("quiet", 60)).unwrap();
+            sw
+        };
+        let ledger = |sent, delivered, dropped, reordered| ChannelStats {
+            sent,
+            delivered,
+            dropped,
+            reordered,
+            ..ChannelStats::default()
+        };
+        let cases = [
+            (30_000, 112, 4_404_753_024, ledger(120, 112, 8, 7)),
+            (2_510, 70, 2_752_970_640, ledger(76, 72, 4, 5)),
+        ];
+        for (deadline_ms, ingested, sum_ns, telemetry) in cases {
+            for workers in [1, 2, 8] {
+                let deadline = SimTime::from_millis(deadline_ms);
+                let (results, _, net) = build().run_net_with_workers(deadline, workers);
+                let ingest = results.remote_ingest();
+                let at = format!("{workers} workers, {deadline_ms} ms");
+                assert_eq!(ingest.count(), ingested, "{at}");
+                assert_eq!(ingest.sum_ns(), sum_ns, "{at}");
+                assert_eq!(ingest.min(), Some(39.328152), "{at}");
+                assert_eq!(ingest.max(), Some(39.328152), "{at}");
+                assert_eq!(net.stats.telemetry, telemetry, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn exports_route_in_completion_then_stream_order() {
+        let export = |ms, stream, latency_ms| FrameExport {
+            at: SimTime::from_millis(ms),
+            stream: StreamId(stream),
+            latency: SimDuration::from_millis(latency_ms),
+        };
+        let barrier = SimTime::from_millis(500);
+        // Out of order, with a tie on time broken by stream id, and one
+        // export overhanging the barrier.
+        let outbox = vec![
+            export(400, 3, 1),
+            export(100, 2, 2),
+            export(600, 0, 3),
+            export(100, 1, 4),
+        ];
+        let routed = route_exports(outbox, 0, barrier, None);
+        let at = |ms| SimTime::from_millis(ms);
+        let lat = SimDuration::from_millis;
+        assert_eq!(
+            routed.deliveries,
+            [
+                (at(500), lat(4)),
+                (at(500), lat(2)),
+                (at(500), lat(1)),
+                (at(600), lat(3)),
+            ]
+        );
+        assert_eq!(routed.ledger, ChannelStats::default());
     }
 }

@@ -47,6 +47,18 @@
 //! for its own (`World::run_until` in `microedge-core` does this;
 //! EXPERIMENTS.md, "Warmed due records").
 //!
+//! [`EventQueue::pending_until`] lends out every pending payload at or
+//! before a deadline, in no set order: the `due` FIFO when `last` is not
+//! past the deadline, then each bucketed entry that is not past it,
+//! through its slab slot. The buckets' time ranges ascend with their
+//! index, so the walk stops at the first bucket that starts past the
+//! deadline. When batches are small, `due` has too little in it to
+//! overlap. A sharded replay then reads the records of a whole epoch's
+//! events in one pass before the shard runs the epoch, and so takes those
+//! misses together (`World::warm_until`; EXPERIMENTS.md, "Warm shard
+//! epochs"). `sim_properties::pending_until_is_what_pop_due_delivers`
+//! checks the set against the pops that follow.
+//!
 //! # Examples
 //!
 //! ```
@@ -268,6 +280,48 @@ impl<E> EventQueue<E> {
     /// ```
     pub fn due(&self) -> impl Iterator<Item = &E> + '_ {
         self.due.iter()
+    }
+
+    /// The payloads of every pending event at or before `until`, in no
+    /// particular order; the queue does not change. These are exactly the
+    /// events that [`EventQueue::pop_due`]`(until)` calls would deliver if
+    /// nothing were scheduled in between (see the module docs).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use microedge_sim::event::EventQueue;
+    /// use microedge_sim::time::SimTime;
+    ///
+    /// let mut q = EventQueue::new();
+    /// q.schedule_at(SimTime::from_millis(9), "c");
+    /// q.schedule_at(SimTime::from_millis(5), "a");
+    /// q.schedule_at(SimTime::from_millis(5), "b");
+    /// let mut due: Vec<_> = q.pending_until(SimTime::from_millis(5)).collect();
+    /// due.sort();
+    /// assert_eq!(due, [&"a", &"b"]);
+    /// assert_eq!(q.len(), 3);
+    /// ```
+    pub fn pending_until(&self, until: SimTime) -> impl Iterator<Item = &E> + '_ {
+        let due = if self.last <= until {
+            self.due.len()
+        } else {
+            0
+        };
+        // Bucket `i` holds times that share the bits above `i` with `last`
+        // and have bit `i` set, so the buckets' ranges ascend with `i`: the
+        // first bucket that starts past `until` ends the walk.
+        let last = self.last.as_nanos();
+        let buckets = (0u32..).zip(&self.buckets).take_while(move |&(i, _)| {
+            let above = u64::MAX.checked_shl(i + 1).unwrap_or(0);
+            last & above | 1 << i <= until.as_nanos()
+        });
+        self.due.iter().take(due).chain(
+            buckets
+                .flat_map(|(_, bucket)| bucket)
+                .filter(move |&&(t, _)| t <= until)
+                .filter_map(|&(_, slot)| self.slots.get(slot)?.as_ref()),
+        )
     }
 
     /// The timestamp of the earliest pending event, if any, without popping.

@@ -83,6 +83,14 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
     ]
 }
 
+/// A probe deadline's offset from now, as [`deadline`] reads it.
+fn probe() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        4 => offset().prop_map(|ns| ns as i64),
+        1 => (1i64..1_000).prop_map(|ns| -ns),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -323,6 +331,65 @@ proptest! {
         }
         while deliver(&mut q, &mut promised, SimTime::from_nanos(u64::MAX))? {}
         prop_assert_eq!(q.due().count(), 0);
+    }
+
+    /// `pending_until(t)` lists, as a multiset, exactly the payloads that
+    /// the `pop_due(t)` calls that follow deliver, and none later than `t`.
+    /// Steps interleave schedules, single pops (so a tied batch can be
+    /// left part-popped in `due`) and barrier drains; a probe after a
+    /// step lists and then drains to its deadline, which may be before
+    /// now, at now, or past the barrier that `advance_to` just set.
+    #[test]
+    fn pending_until_is_what_pop_due_delivers(
+        times in prop::collection::vec(0u64..1_000, 1..100),
+        steps in prop::collection::vec((queue_op(), prop::option::of(probe())), 0..200),
+    ) {
+        let mut q = EventQueue::new();
+        let mut at = Vec::new();
+        let schedule = |q: &mut EventQueue<usize>, at: &mut Vec<SimTime>, t| {
+            q.schedule_at(t, at.len());
+            at.push(t);
+        };
+        for &t in &times {
+            schedule(&mut q, &mut at, SimTime::from_millis(t));
+        }
+        for (op, probe) in steps {
+            match op {
+                QueueOp::Schedule(ns) => {
+                    let t = after(q.now(), ns);
+                    schedule(&mut q, &mut at, t);
+                }
+                QueueOp::Burst(count, ns) => {
+                    let t = after(q.now(), ns);
+                    for _ in 0..count {
+                        schedule(&mut q, &mut at, t);
+                    }
+                }
+                QueueOp::NearMax(ns) => {
+                    let t = SimTime::from_nanos(u64::MAX - ns).max(q.now());
+                    schedule(&mut q, &mut at, t);
+                }
+                QueueOp::PopDue(ns) => {
+                    q.pop_due(deadline(q.now(), ns));
+                }
+                QueueOp::Advance(ns) => {
+                    let barrier = after(q.now(), ns);
+                    while q.pop_due(barrier).is_some() {}
+                    q.advance_to(barrier);
+                }
+            }
+            let Some(ns) = probe else { continue };
+            let until = deadline(q.now(), ns);
+            let mut listed: Vec<usize> = q.pending_until(until).copied().collect();
+            for &id in &listed {
+                prop_assert!(at[id] <= until, "listed {} at {} past {}", id, at[id], until);
+            }
+            let mut popped: Vec<usize> =
+                std::iter::from_fn(|| q.pop_due(until).map(|(_, id)| id)).collect();
+            listed.sort_unstable();
+            popped.sort_unstable();
+            prop_assert_eq!(listed, popped, "pending until {}", until);
+        }
     }
 
     /// StepSeries conserves mass: the weighted sum of window averages
