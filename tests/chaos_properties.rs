@@ -35,7 +35,8 @@ enum Op {
     /// Remove the n-th admitted stream, if still around.
     Remove(usize),
     /// Fail a component (0 = TPU, 1 = node, 2 = uplink) and schedule its
-    /// repair after the given delay in milliseconds.
+    /// repair after the given delay in microseconds: a blip that can end
+    /// inside one running inference, or an outage of up to half a minute.
     Fault(u8, usize, u64),
     /// Advance simulated time (crossing heartbeat/lease boundaries).
     Advance(u64),
@@ -46,7 +47,7 @@ fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
         prop_oneof![
             3 => (0..3usize).prop_map(Op::Admit),
             1 => (0..24usize).prop_map(Op::Remove),
-            2 => (0u8..3, 0..16usize, 500u64..30_000)
+            2 => (0u8..3, 0..16usize, prop_oneof![50u64..10_000, 500_000u64..30_000_000])
                 .prop_map(|(class, target, delay)| Op::Fault(class, target, delay)),
             3 => (50u64..6_000).prop_map(Op::Advance),
         ],
@@ -137,9 +138,9 @@ proptest! {
                         let _ = world.remove_stream(id);
                     }
                 }
-                Op::Fault(class, target, repair_ms) => {
+                Op::Fault(class, target, repair_us) => {
                     let at = world.now() + SimDuration::from_millis(1);
-                    let back = at + SimDuration::from_millis(repair_ms);
+                    let back = at + SimDuration::from_micros(repair_us);
                     let (fail, repair) = match class {
                         0 => {
                             let tpu = TpuId(target as u32 % TPUS);
