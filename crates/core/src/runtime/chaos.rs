@@ -5,7 +5,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
-use std::num::NonZeroU64;
 
 use microedge_cluster::node::NodeId;
 use microedge_metrics::recovery::{AvailabilityTracker, RecoveryBreakdown, RecoveryRecorder};
@@ -14,7 +13,7 @@ use microedge_sim::time::{SimDuration, SimTime};
 use microedge_tpu::device::TpuId;
 use microedge_tpu::spec::TpuSpec;
 
-use super::{Ev, StreamId, StreamPhase, StreamSpec, World};
+use super::{Ev, Lifecycle, StreamId, StreamSpec, Swap, World};
 use crate::faults::{ChaosConfig, FaultKind, FaultSchedule};
 use crate::scheduler::{Deployment, StageGrant};
 
@@ -74,6 +73,21 @@ pub(super) struct ParkedStream {
     detected_at: SimTime,
 }
 
+/// Why a stream awaits a swap-in, with what the swap-in's completion needs.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum SwapCause {
+    /// Parameters stream onto a placement the control plane recovered. Its
+    /// completion resumes the stream and records `breakdown`; `restarted`
+    /// marks a re-admission, which counts as a restart of the lineage.
+    Recovery {
+        breakdown: RecoveryBreakdown,
+        restarted: bool,
+    },
+    /// A defrag migration's priced cost. The stream keeps serving through
+    /// the move, so the completion only lifts the guard.
+    Migration,
+}
+
 /// All chaos-mode state; boxed behind an `Option` so non-chaos worlds pay
 /// nothing.
 #[derive(Debug)]
@@ -85,7 +99,8 @@ pub(super) struct ChaosState {
     pub(super) recorder: RecoveryRecorder,
     /// Availability per lineage root.
     pub(super) trackers: BTreeMap<StreamId, AvailabilityTracker>,
-    swap_seq: u64,
+    /// Sequence number of the latest swap-in (see `Swap`).
+    swap_seq: u32,
     /// Earliest pending `Reconcile` event, to avoid flooding the queue.
     reconcile_at: Option<SimTime>,
 }
@@ -157,7 +172,7 @@ impl World {
     /// view).
     fn streams_using_tpu(&self, tpu: TpuId) -> Vec<StreamId> {
         self.streams_where(|s| {
-            s.phase.is_live()
+            s.lifecycle.is_live()
                 && self
                     .sched
                     .assignment(s.pod)
@@ -171,40 +186,43 @@ impl World {
         let Some(stream) = self.stream(id) else {
             return;
         };
-        if stream.phase == StreamPhase::Interrupted || !stream.phase.is_live() {
+        let Lifecycle::Serving { den, swap } = stream.lifecycle else {
             return;
-        }
+        };
         let root = stream.root;
-        self.transition(id, StreamPhase::Interrupted, now);
+        self.transition(id, Lifecycle::Interrupted { den, swap });
         if let Some(chaos) = self.chaos.as_mut() {
             chaos.tracker(root).outage_begins(now);
         }
     }
 
     /// Returns interrupted streams whose placement is healthy again to
-    /// their rate-appropriate serving phase.
+    /// serving. A stream awaiting a recovery swap-in waits for it; a
+    /// migration guard stays on the stream.
     fn resync_interrupted(&mut self, now: SimTime) {
-        let interrupted =
-            self.streams_where(|s| s.phase == StreamPhase::Interrupted && s.pending_swap.is_none());
-        for id in interrupted {
-            if self
-                .stream(id)
-                .is_some_and(|s| self.placement_healthy(s.pod))
-            {
-                self.resume(now, id);
-            }
+        let healthy = self.streams_where(|s| {
+            matches!(s.lifecycle, Lifecycle::Interrupted { swap, .. }
+                if !swap.is_some_and(Swap::is_recovery))
+                && self.placement_healthy(s.pod)
+        });
+        for id in healthy {
+            self.resume(now, id);
         }
     }
 
-    /// Returns a stream whose placement serves again to the serving phase
-    /// of its rate, closing its lineage's outage (and opening a degrade
-    /// span below full rate).
+    /// Returns a stream whose placement serves again to serving at its
+    /// rate, closing its lineage's outage (and opening a degrade span below
+    /// full rate).
     fn resume(&mut self, now: SimTime, id: StreamId) {
         let Some(s) = self.stream(id) else {
             return;
         };
-        let (root, den) = (s.root, s.den);
-        self.transition(id, StreamPhase::serving(den), now);
+        let (Lifecycle::Interrupted { den, swap } | Lifecycle::Parked { den, swap }) = s.lifecycle
+        else {
+            return;
+        };
+        let root = s.root;
+        self.transition(id, Lifecycle::Serving { den, swap });
         if let Some(chaos) = self.chaos.as_mut() {
             let tracker = chaos.tracker(root);
             tracker.outage_ends(now);
@@ -226,7 +244,11 @@ impl World {
         let Some(allocs) = self.sched.assignment(pod) else {
             return false;
         };
-        allocs.iter().all(|a| self.services[a.tpu().index()].alive)
+        allocs.iter().all(|a| {
+            self.services
+                .get(a.tpu().index())
+                .is_some_and(|svc| svc.alive)
+        })
     }
 
     pub(super) fn on_fault(&mut self, now: SimTime, kind: FaultKind) {
@@ -272,7 +294,9 @@ impl World {
             self.sched.restore_tpu(tpu);
             self.sync_device(tpu);
         }
-        self.services[tpu.index()].alive = true;
+        if let Some(svc) = self.services.get_mut(tpu.index()) {
+            svc.alive = true;
+        }
     }
 
     fn on_tpu_fault(&mut self, now: SimTime, tpu: TpuId) {
@@ -318,7 +342,7 @@ impl World {
         // Streams whose application container lives on the dead /
         // partitioned node stop making progress too.
         victims.extend(
-            self.streams_where(|s| s.phase.is_live() && self.orch.node_of(s.pod) == Some(node)),
+            self.streams_where(|s| s.lifecycle.is_live() && self.orch.node_of(s.pod) == Some(node)),
         );
         victims.sort_unstable();
         victims.dedup();
@@ -387,7 +411,7 @@ impl World {
             for pod in self.sched.fail_tpu_releasing(tpu) {
                 let _ = self.orch.delete_pod(pod);
                 if let Some(sid) = self.stream_of_pod(pod) {
-                    self.transition(sid, StreamPhase::Lost, now);
+                    self.transition(sid, Lifecycle::Lost);
                 }
             }
         }
@@ -406,10 +430,9 @@ impl World {
         let hosted: Vec<StreamId> = displaced
             .iter()
             .filter_map(|&p| self.stream_of_pod(p))
-            .filter(|sid| {
-                self.streams
-                    .get(sid.index())
-                    .is_some_and(|s| s.phase.is_live() || s.phase == StreamPhase::Parked)
+            .filter(|&sid| {
+                self.stream(sid)
+                    .is_some_and(|s| s.lifecycle.is_live_or_parked())
             })
             .collect();
         for sid in hosted {
@@ -430,17 +453,10 @@ impl World {
         fault_at: SimTime,
         detected_at: SimTime,
     ) {
-        let heal = self.chaos.as_ref().is_some_and(|c| c.config.heal.is_some());
-        if !heal {
-            self.transition(sid, StreamPhase::Lost, now);
+        let Some(chaos) = self.chaos.as_mut().filter(|c| c.config.heal.is_some()) else {
+            self.transition(sid, Lifecycle::Lost);
             return;
-        }
-        self.transition(sid, StreamPhase::Parked, now);
-        if let Some(s) = self.streams.get_mut(sid.index()) {
-            // Parking supersedes any in-flight swap: its placement is gone.
-            s.pending_swap = None;
-        }
-        let chaos = self.chaos.as_mut().expect("heal implies chaos");
+        };
         if !chaos.parked.iter().any(|p| p.stream == sid) {
             chaos.parked.push(ParkedStream {
                 stream: sid,
@@ -450,6 +466,9 @@ impl World {
                 detected_at,
             });
         }
+        // Parking supersedes any in-flight swap: its placement is gone.
+        let den = self.stream(sid).map_or(1, |s| s.lifecycle.den());
+        self.transition(sid, Lifecycle::Parked { den, swap: None });
     }
 
     /// Schedules the swap-in completion for a freshly replanned placement
@@ -476,66 +495,55 @@ impl World {
             now.saturating_since(detected_at) + rpc,
             swap,
         );
-        self.guard_swap(sid, rpc + swap, breakdown, restarted);
+        let cause = SwapCause::Recovery {
+            breakdown,
+            restarted,
+        };
+        self.guard_swap(sid, rpc + swap, cause);
     }
 
-    /// Stamps `sid` as waiting on a new swap-in and schedules its `SwapIn`
-    /// after `delay`; an older `SwapIn` of the stream, carrying an older
-    /// number, is then ignored. While the stamp holds, rescale, upgrade and
-    /// defrag keep their hands off the stream. A no-op without chaos mode,
-    /// where no such path can race a swap.
-    pub(super) fn guard_swap(
-        &mut self,
-        sid: StreamId,
-        delay: SimDuration,
-        breakdown: RecoveryBreakdown,
-        restarted: bool,
-    ) {
+    /// Makes `sid` await a new swap-in for `cause` and schedules its
+    /// `SwapIn` after `delay`; the stream's older `SwapIn`, if any, is then
+    /// ignored. While the swap is awaited, rescale, upgrade and defrag keep
+    /// their hands off the stream. A no-op without chaos mode, where no
+    /// such path can race a swap.
+    pub(super) fn guard_swap(&mut self, sid: StreamId, delay: SimDuration, cause: SwapCause) {
         let Some(chaos) = self.chaos.as_mut() else {
             return;
         };
-        chaos.swap_seq += 1;
-        let seq = chaos.swap_seq;
-        if let Some(stream) = self.streams.get_mut(sid.index()) {
-            stream.pending_swap = NonZeroU64::new(seq);
+        chaos.swap_seq = chaos.swap_seq.wrapping_add(1);
+        let swap = Swap::new(chaos.swap_seq, &cause);
+        if let Some(s) = self.stream(sid) {
+            self.transition(sid, s.lifecycle.with_swap(Some(swap)));
         }
-        self.queue.schedule_after(
-            delay,
-            Ev::SwapIn {
-                stream: sid,
-                seq,
-                breakdown,
-                restarted,
-            },
-        );
+        self.queue
+            .schedule_after(delay, Ev::SwapIn(sid, swap, cause));
     }
 
-    pub(super) fn on_swap_in(
-        &mut self,
-        now: SimTime,
-        sid: StreamId,
-        seq: u64,
-        breakdown: RecoveryBreakdown,
-        restarted: bool,
-    ) {
-        let (root, pod) = {
-            let Some(s) = self.streams.get_mut(sid.index()) else {
-                return;
-            };
-            if s.pending_swap.map(NonZeroU64::get) != Some(seq) {
-                return;
-            }
-            s.pending_swap = None;
-            if !matches!(s.phase, StreamPhase::Interrupted | StreamPhase::Parked) {
-                // The stream left the recovery path (crashed, removed, or
-                // restarted by hand) while parameters streamed in.
-                return;
-            }
-            (s.root, s.pod)
+    /// A swap-in completes. Only a recovery's resumes the stream and
+    /// records its breakdown; a migration's only lifts the guard.
+    pub(super) fn on_swap_in(&mut self, now: SimTime, sid: StreamId, swap: Swap, cause: SwapCause) {
+        let Some(s) = self.stream(sid) else {
+            return;
         };
-        if !self.placement_healthy(pod) {
-            // The replacement placement itself failed before swap-in
-            // finished; stay down — the new fault's detection will replan.
+        if s.lifecycle.swap() != Some(swap) {
+            // Superseded by a later swap, or the stream left its placement
+            // (parked, crashed, removed or restarted by hand) meanwhile.
+            return;
+        }
+        let (lifecycle, root, pod) = (s.lifecycle, s.root, s.pod);
+        self.transition(sid, lifecycle.with_swap(None));
+        let SwapCause::Recovery {
+            breakdown,
+            restarted,
+        } = cause
+        else {
+            return;
+        };
+        // A serving stream has nothing to resume. A replacement placement
+        // that failed before the swap-in finished stays down: the new
+        // fault's detection will replan it.
+        if matches!(lifecycle, Lifecycle::Serving { .. }) || !self.placement_healthy(pod) {
             return;
         }
         self.resume(now, sid);
@@ -567,7 +575,7 @@ impl World {
             || self
                 .streams
                 .iter()
-                .any(|s| s.phase == StreamPhase::Degraded && s.den > 1);
+                .any(|s| matches!(s.lifecycle, Lifecycle::Serving { den, .. } if den > 1));
         if wanted {
             self.schedule_reconcile(now);
         }
@@ -586,49 +594,38 @@ impl World {
     }
 
     pub(super) fn on_reconcile(&mut self, now: SimTime) {
-        let due: Vec<ParkedStream> = {
+        let (due, heal): (Vec<ParkedStream>, _) = {
             let Some(chaos) = self.chaos.as_mut() else {
                 return;
             };
             chaos.reconcile_at = None;
-            if chaos.config.heal.is_none() {
+            let Some(heal) = chaos.config.heal else {
                 return;
-            }
-            chaos
-                .parked
-                .iter()
-                .copied()
-                .filter(|p| p.next_try <= now)
-                .collect()
+            };
+            let due = chaos.parked.iter().copied();
+            (due.filter(|p| p.next_try <= now).collect(), heal)
         };
         for entry in due {
             let readmitted = self.try_readmit(now, entry);
-            let chaos = self.chaos.as_mut().expect("chaos stays armed");
+            let Some(chaos) = self.chaos.as_mut() else {
+                return;
+            };
             if readmitted {
                 chaos.parked.retain(|p| p.stream != entry.stream);
             } else if let Some(p) = chaos.parked.iter_mut().find(|p| p.stream == entry.stream) {
                 p.attempts += 1;
-                let backoff = chaos
-                    .config
-                    .heal
-                    .as_ref()
-                    .expect("checked above")
-                    .backoff(p.attempts, p.stream.0);
-                p.next_try = now + backoff;
+                p.next_try = now + heal.backoff(p.attempts, p.stream.0);
             }
         }
         // Only once nothing is waiting does the controller hand capacity
         // back to degraded tenants.
-        let parked_empty = self.chaos.as_ref().is_some_and(|c| c.parked.is_empty());
-        if parked_empty {
-            self.upgrade_degraded(now);
-        }
-        let next = self
+        match self
             .chaos
             .as_ref()
-            .and_then(|c| c.parked.iter().map(|p| p.next_try).min());
-        if let Some(next) = next {
-            self.schedule_reconcile(next.max(now));
+            .and_then(|c| c.parked.iter().map(|p| p.next_try).min())
+        {
+            Some(next) => self.schedule_reconcile(next.max(now)),
+            None => self.upgrade_degraded(now),
         }
     }
 
@@ -639,7 +636,7 @@ impl World {
     fn try_readmit(&mut self, now: SimTime, entry: ParkedStream) -> bool {
         let sid = entry.stream;
         let spec = match self.stream(sid) {
-            Some(s) if s.phase == StreamPhase::Parked => s.spec.clone(),
+            Some(s) if matches!(s.lifecycle, Lifecycle::Parked { .. }) => s.spec.clone(),
             // Removed / restarted / otherwise gone: drop the entry.
             _ => return true,
         };
@@ -652,7 +649,7 @@ impl World {
                 return true;
             }
         }
-        let max_den = *tiers.last().expect("tiers are never empty");
+        let max_den = tiers.last().copied().unwrap_or(1);
         if max_den > 1 {
             while self.shrink_one_stream(now, max_den) {
                 if self.try_readmit_at(sid, &entry, &spec, max_den) {
@@ -705,14 +702,13 @@ impl World {
         }
         let swap_bytes = per_tpu.values().copied().max().unwrap_or(0);
         let stages = deployment.stages().len();
-        {
-            let s = &mut self.streams[sid.index()];
+        if let Some(s) = self.stream_mut(sid) {
             s.pod = pod;
-            s.den = den;
             for (stage, grant) in s.stages.iter_mut().zip(deployment.stages()) {
                 stage.lbs = grant.lbs();
             }
         }
+        self.transition(sid, Lifecycle::Parked { den, swap: None });
         self.map_pod(pod, sid);
         self.sync_allocations(deployment.stages().iter().flat_map(StageGrant::allocations));
         self.schedule_swap_in(
@@ -732,12 +728,8 @@ impl World {
             .streams
             .iter()
             .enumerate()
-            .filter(|(_, s)| {
-                matches!(s.phase, StreamPhase::Active | StreamPhase::Degraded)
-                    && s.den < max_den
-                    && s.pending_swap.is_none()
-            })
-            .map(|(i, s)| (s.den, i))
+            .filter_map(|(i, s)| Some((s.lifecycle.unguarded_den()?, i)))
+            .filter(|&(den, _)| den < max_den)
             .min();
         candidate.is_some_and(|(den, i)| self.rescale(now, StreamId::from_index(i), den * 2))
     }
@@ -750,10 +742,8 @@ impl World {
                 .streams
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| {
-                    s.phase == StreamPhase::Degraded && s.den > 1 && s.pending_swap.is_none()
-                })
-                .map(|(i, s)| (s.den, Reverse(i)))
+                .filter_map(|(i, s)| Some((s.lifecycle.unguarded_den()?, Reverse(i))))
+                .filter(|&(den, _)| den > 1)
                 .max();
             let Some((den, Reverse(i))) = candidate else {
                 return;
@@ -764,22 +754,26 @@ impl World {
         }
     }
 
-    /// Replans a serving stream at denominator `new_den` and records the
-    /// change, keeping phase and degrade-interval bookkeeping consistent.
-    /// Returns `false`, changing nothing, when the pool cannot fit it.
+    /// Replans a serving stream no swap-in guards at denominator `new_den`
+    /// and records the change, keeping the degrade-interval bookkeeping
+    /// consistent. Returns `false`, changing nothing, when the pool cannot
+    /// fit it.
     fn rescale(&mut self, now: SimTime, sid: StreamId, new_den: u32) -> bool {
         let Some(s) = self.stream(sid) else {
             return false;
         };
-        let (pod, root, old_den) = (s.pod, s.root, s.den);
+        let (pod, root, old_den) = (s.pod, s.root, s.lifecycle.den());
         let Ok(plans) = self.sched.rescale(pod, new_den) else {
             return false;
         };
         self.apply_plans(sid, &plans);
-        if let Some(s) = self.stream_mut(sid) {
-            s.den = new_den;
-        }
-        self.transition(sid, StreamPhase::serving(new_den), now);
+        self.transition(
+            sid,
+            Lifecycle::Serving {
+                den: new_den,
+                swap: None,
+            },
+        );
         if let Some(chaos) = self.chaos.as_mut() {
             let tracker = chaos.tracker(root);
             if old_den == 1 && new_den > 1 {

@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use microedge_cluster::node::NodeId;
 use microedge_metrics::defrag::DefragStats;
-use microedge_metrics::recovery::RecoveryBreakdown;
 use microedge_metrics::throughput::ThroughputAudit;
 use microedge_models::profile::{ModelId, ModelProfile};
 use microedge_orch::pod::{PodId, PodSpec, ResourceRequest};
@@ -20,8 +19,8 @@ use microedge_sim::time::{SimDuration, SimTime};
 use microedge_tpu::device::TpuId;
 
 use super::{
-    stream_of_pod, Ev, EvacuatedStream, FrameFilter, StageRuntime, StreamId, StreamPhase,
-    StreamRuntime, StreamSpec, World, WorldCommand,
+    stream_of_pod, Ev, EvacuatedStream, FrameFilter, Lifecycle, StageRuntime, StreamId,
+    StreamRuntime, StreamSpec, SwapCause, World, WorldCommand,
 };
 use crate::defrag::{self, DefragConfig};
 use crate::lbs::LbService;
@@ -135,7 +134,6 @@ impl World {
             latency: OnlineStats::new(),
             interval: SimDuration::from_secs_f64(1.0 / spec.fps),
             frames_left: spec.frame_limit.unwrap_or(u64::MAX),
-            active: true,
             filter: spec.frame_filter.as_deref().map(|&(pass_rate, seed)| {
                 Box::new(FrameFilter {
                     pass_rate,
@@ -145,10 +143,8 @@ impl World {
             preprocess: self.dp.preprocess_for(spec.source),
             spec,
             root: root.unwrap_or(id),
-            phase: StreamPhase::Active,
-            den: 1,
+            lifecycle: Lifecycle::Serving { den: 1, swap: None },
             emission_alive: true,
-            pending_swap: None,
         };
         self.map_pod(deployment.pod(), id);
         self.streams.push(runtime);
@@ -174,13 +170,13 @@ impl World {
     /// Propagates orchestrator errors for unknown pods.
     pub fn remove_stream(&mut self, id: StreamId) -> Result<(), DeployError> {
         let stream = self.stream(id).ok_or(DeployError::UnknownStream(id.0))?;
-        if !stream.active && stream.phase != StreamPhase::Parked {
+        if !stream.lifecycle.is_live_or_parked() {
             return Err(DeployError::InvalidStreamState(id.0, "not running"));
         }
         let (pod, root) = (stream.pod, stream.root);
         let now = self.queue.now();
-        let was_parked = stream.phase == StreamPhase::Parked;
-        self.transition(id, StreamPhase::Removed, now);
+        let was_parked = matches!(stream.lifecycle, Lifecycle::Parked { .. });
+        self.transition(id, Lifecycle::Removed);
         if was_parked {
             // The pod is already gone; just drop the pending-restart entry.
             if let Some(chaos) = self.chaos.as_mut() {
@@ -207,12 +203,12 @@ impl World {
     /// Propagates orchestrator errors for unknown/terminated pods.
     pub fn crash_stream(&mut self, id: StreamId) -> Result<(), DeployError> {
         let stream = self.stream(id).ok_or(DeployError::UnknownStream(id.0))?;
-        if !stream.active {
+        if !stream.lifecycle.is_live() {
             return Err(DeployError::InvalidStreamState(id.0, "not running"));
         }
         let (pod, root) = (stream.pod, stream.root);
         let now = self.queue.now();
-        self.transition(id, StreamPhase::Lost, now);
+        self.transition(id, Lifecycle::Lost);
         self.orch.delete_pod(pod)?;
         if let Some(chaos) = self.chaos.as_mut() {
             chaos.tracker(root).outage_begins(now);
@@ -262,15 +258,16 @@ impl World {
     /// ones whose recovered contiguous capacity justifies their modeled
     /// disruption (see [`crate::defrag`]).
     ///
-    /// Pods of streams that are mid-swap or not serving are frozen — the
-    /// same swap-seq guard the failure-recovery path uses — so a migration
+    /// Pods of streams that await a swap-in or are not serving are frozen —
+    /// the same swap guard the failure-recovery path uses — so a migration
     /// never races a recovery. Each migrated stream's load-balancer weights
     /// are re-seeded immediately (the move is planned at a quiescent epoch
     /// barrier, so no in-flight frame observes the old placement), every
     /// donor and receiver device cache is re-synced once, and in chaos mode
-    /// the stream is held under a pending-swap guard for the move's modeled
-    /// cost so rescale/upgrade paths keep their hands off until the
-    /// migration settles.
+    /// the stream awaits a migration swap-in for the move's modeled cost so
+    /// rescale/upgrade paths keep their hands off until the migration
+    /// settles. That guard survives an interruption, and its completion
+    /// neither resumes the stream nor records a recovery.
     pub fn defrag_epoch(&mut self) {
         let Some(runtime) = self.defrag.as_mut() else {
             return;
@@ -282,10 +279,8 @@ impl World {
         let config = runtime.config;
         let (streams, pods_to_streams) = (&self.streams, &self.pods_to_streams);
         let frozen = |pod| {
-            stream_of_pod(streams, pods_to_streams, pod).is_some_and(|(_, s)| {
-                let serving = matches!(s.phase, StreamPhase::Active | StreamPhase::Degraded);
-                s.pending_swap.is_some() || !serving
-            })
+            stream_of_pod(streams, pods_to_streams, pod)
+                .is_some_and(|(_, s)| s.lifecycle.unguarded_den().is_none())
         };
         let mut stats = DefragStats::default();
         let moves = defrag::run_cycle(&mut self.sched, frozen, &config, &mut stats);
@@ -306,9 +301,7 @@ impl World {
                 // The stream keeps serving; the guard only keeps rescale
                 // and recovery paths off it for the move's priced cost.
                 if mv.cost > SimDuration::ZERO {
-                    let breakdown =
-                        RecoveryBreakdown::new(SimDuration::ZERO, SimDuration::ZERO, mv.cost);
-                    self.guard_swap(sid, mv.cost, breakdown, false);
+                    self.guard_swap(sid, mv.cost, SwapCause::Migration);
                 }
             }
         }
@@ -352,7 +345,7 @@ impl World {
             let Some(stream_id) = self.stream_of_pod(pod) else {
                 continue;
             };
-            self.transition(stream_id, StreamPhase::Lost, now);
+            self.transition(stream_id, Lifecycle::Lost);
             lost_streams.push(stream_id);
         }
         lost_streams
@@ -371,18 +364,16 @@ impl World {
         if self.orch.cluster().node(node).is_none() {
             return Vec::new();
         }
-        let now = self.queue.now();
         // The node's TPU (if any) dies with it.
-        let tpu = self.tpu_on_node(node);
-        let mut stopped = match tpu {
-            Some(tpu) => self.fail_tpu(tpu),
-            None => Vec::new(),
-        };
+        let mut stopped = self
+            .tpu_on_node(node)
+            .map(|tpu| self.fail_tpu(tpu))
+            .unwrap_or_default();
         // Pods hosted on the node terminate; their streams stop emitting.
         let displaced = self.orch.fail_node(node);
         for pod in displaced {
             if let Some(stream_id) = self.stream_of_pod(pod) {
-                if self.transition(stream_id, StreamPhase::Lost, now) {
+                if self.transition(stream_id, Lifecycle::Lost) {
                     stopped.push(stream_id);
                 }
             }
@@ -434,8 +425,10 @@ impl World {
     /// The new stream inherits the old stream's lineage root, so
     /// availability and chain-latency metrics aggregate across restarts
     /// instead of treating the revived stream as an unrelated one; the old
-    /// id is marked [`StreamPhase::Superseded`] and linked to its successor
-    /// (see [`RunResults::successor`](super::RunResults::successor)).
+    /// id is marked
+    /// [`StreamPhase::Superseded`](super::StreamPhase::Superseded) and
+    /// linked to its successor (see
+    /// [`RunResults::successor`](super::RunResults::successor)).
     ///
     /// # Errors
     ///
@@ -445,25 +438,23 @@ impl World {
     /// fits the surviving capacity.
     pub fn restart_stream(&mut self, id: StreamId) -> Result<StreamId, DeployError> {
         let stream = self.stream(id).ok_or(DeployError::UnknownStream(id.0))?;
-        if stream.active {
+        if stream.lifecycle.is_live() {
             return Err(DeployError::InvalidStreamState(id.0, "still active"));
         }
-        if stream.phase == StreamPhase::Superseded {
+        if stream.lifecycle == Lifecycle::Superseded {
             return Err(DeployError::InvalidStreamState(id.0, "already superseded"));
         }
         let root = stream.root;
         let mut spec = stream.spec.clone();
         spec.start_offset = SimDuration::ZERO;
-        let was_parked = stream.phase == StreamPhase::Parked;
+        let was_parked = matches!(stream.lifecycle, Lifecycle::Parked { .. });
         let new_id = self.admit_with_root(spec, Some(root))?;
         if was_parked {
             if let Some(chaos) = self.chaos.as_mut() {
                 chaos.parked.retain(|p| p.stream != id);
             }
         }
-        if let Some(stream) = self.stream_mut(id) {
-            stream.phase = StreamPhase::Superseded;
-        }
+        self.transition(id, Lifecycle::Superseded);
         self.lineage.insert(id, new_id);
         Ok(new_id)
     }
@@ -491,9 +482,10 @@ impl World {
     /// [`WorldCommand::Evacuate`]; streams are visited in id order, so the
     /// evacuation list is deterministic.
     pub fn evacuate_all(&mut self, now: SimTime) {
-        let ids = self.streams_where(|s| s.phase.is_live() || s.phase == StreamPhase::Parked);
-        for id in ids {
-            let spec = self.streams[id.index()].spec.clone();
+        for id in self.streams_where(|s| s.lifecycle.is_live_or_parked()) {
+            let Some(spec) = self.stream(id).map(|s| s.spec.clone()) else {
+                continue;
+            };
             if self.remove_stream(id).is_ok() {
                 self.evacuations.push(EvacuatedStream {
                     stream: id,

@@ -14,7 +14,7 @@ use microedge_sim::time::{SimDuration, SimTime};
 use microedge_tpu::cocompile::{CacheAllocation, CoCompiler};
 use microedge_tpu::device::{TpuDevice, TpuId};
 
-use super::{Ev, FrameExport, StreamId, StreamPhase, World};
+use super::{Ev, FrameExport, Lifecycle, StreamId, World};
 use crate::pool::Allocation;
 
 #[derive(Debug, Clone)]
@@ -207,12 +207,7 @@ impl World {
             Ev::Done(tpu, kills) => self.on_done(now, tpu, kills),
             Ev::Fault(kind) => self.on_fault(now, kind),
             Ev::Detect { kind, epoch } => self.on_detect(now, kind, epoch),
-            Ev::SwapIn {
-                stream,
-                seq,
-                breakdown,
-                restarted,
-            } => self.on_swap_in(now, stream, seq, breakdown, restarted),
+            Ev::SwapIn(stream, swap, cause) => self.on_swap_in(now, stream, swap, cause),
             Ev::Reconcile => self.on_reconcile(now),
             Ev::Command(cmd) => self.on_command(now, cmd),
             Ev::Ingest(latency) => self.ingest.record_duration(latency),
@@ -223,62 +218,54 @@ impl World {
         let Some(stream) = self.streams.get_mut(id.index()) else {
             return;
         };
-        if !stream.active {
-            stream.emission_alive = false;
-            return;
-        }
-        if stream.phase == StreamPhase::Interrupted {
-            // The placement is down (detected or not): the frame drops at
-            // the client without reaching any TPU.
-            self.frames_dropped += 1;
-            if stream.count_frame() {
-                let interval = stream.interval * u64::from(stream.den);
-                self.queue.schedule_after(interval, Ev::Frame(id));
-            } else {
-                stream.emission_alive = false;
+        let den = match stream.lifecycle {
+            Lifecycle::Serving { den, .. } => {
+                stream.audit.frame_emitted(now);
+                let pre = stream.preprocess;
+                // The difference detector may discard the frame client-side
+                // after pre-processing; it then never reaches a TPU, so its
+                // completion instant is already known.
+                if stream
+                    .filter
+                    .as_mut()
+                    .is_some_and(|f| !f.rng.chance(f.pass_rate))
+                {
+                    stream.audit.frame_completed(now + pre);
+                } else {
+                    #[expect(clippy::indexing_slicing, reason = "an admitted stream has a stage")]
+                    let stage = &mut stream.stages[0];
+                    let tpu = stage.lbs.next();
+                    let trans = if stream.spec.collocated {
+                        SimDuration::ZERO
+                    } else {
+                        stage.transfer
+                    };
+                    let inflight = InFlight {
+                        stream: id,
+                        stage: 0,
+                        pre,
+                        trans_acc: trans,
+                        infer_acc: SimDuration::ZERO,
+                        arrived: now, // overwritten on arrival
+                    };
+                    self.queue
+                        .schedule_at(now + pre + trans, Ev::Arrive(tpu, inflight));
+                }
+                den
             }
-            return;
-        }
-        stream.audit.frame_emitted(now);
-        let more = stream.count_frame();
-        let pre = stream.preprocess;
-        let filtered = stream
-            .filter
-            .as_mut()
-            .is_some_and(|f| !f.rng.chance(f.pass_rate));
-        if filtered {
-            // The difference detector discards the frame client-side after
-            // pre-processing; it never reaches a TPU, so its completion
-            // instant is already known.
-            stream.audit.frame_completed(now + pre);
-            if more {
-                let interval = stream.interval * u64::from(stream.den);
-                self.queue.schedule_after(interval, Ev::Frame(id));
-            } else {
-                stream.emission_alive = false;
+            Lifecycle::Interrupted { den, .. } => {
+                // The placement is down (detected or not): the frame drops
+                // at the client without reaching any TPU.
+                self.frames_dropped += 1;
+                den
             }
-            return;
-        }
-        #[expect(clippy::indexing_slicing, reason = "an admitted stream has a stage")]
-        let tpu = stream.stages[0].lbs.next();
-        #[expect(clippy::indexing_slicing, reason = "an admitted stream has a stage")]
-        let trans = if stream.spec.collocated {
-            SimDuration::ZERO
-        } else {
-            stream.stages[0].transfer
+            _ => {
+                stream.emission_alive = false;
+                return;
+            }
         };
-        let inflight = InFlight {
-            stream: id,
-            stage: 0,
-            pre,
-            trans_acc: trans,
-            infer_acc: SimDuration::ZERO,
-            arrived: now, // overwritten on arrival
-        };
-        self.queue
-            .schedule_at(now + pre + trans, Ev::Arrive(tpu, inflight));
-        if more {
-            let interval = stream.interval * u64::from(stream.den);
+        if stream.count_frame() {
+            let interval = stream.interval * u64::from(den);
             self.queue.schedule_after(interval, Ev::Frame(id));
         } else {
             stream.emission_alive = false;

@@ -398,27 +398,16 @@ impl World {
         drop(self.sched);
         drop(self.pods_to_streams);
         drop(self.profiles);
-        let reports = self
-            .streams
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (StreamId::from_index(i), s.audit.report(&s.spec.name, end)))
+        let streams = || (0..).map(StreamId::from_index).zip(&self.streams);
+        let reports = streams()
+            .map(|(id, s)| (id, s.audit.report(&s.spec.name, end)))
             .collect();
-        let latencies = self
-            .streams
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (StreamId::from_index(i), s.latency.clone()))
-            .collect();
+        let latencies = streams().map(|(id, s)| (id, s.latency.clone())).collect();
         let average_utilization = self.fleet.average_utilization(end);
         let per_device_utilization = self.fleet.per_device_utilization(end);
         let windowed_utilization = self.fleet.into_windowed_average(end);
-        let phases: BTreeMap<StreamId, StreamPhase> = self
-            .streams
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (StreamId::from_index(i), s.phase))
-            .collect();
+        let phases: BTreeMap<StreamId, StreamPhase> =
+            streams().map(|(id, s)| (id, s.lifecycle.phase())).collect();
         let lineage = self.lineage;
         let (recovery, availability) = match self.chaos {
             Some(chaos) => {

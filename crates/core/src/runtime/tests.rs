@@ -952,16 +952,76 @@ fn streams_read_by_names_the_records_each_handler_reads() {
             kind: fault,
             epoch: 1,
         },
-        Ev::SwapIn {
-            stream: a,
-            seq: 1,
-            breakdown: RecoveryBreakdown::default(),
-            restarted: false,
-        },
+        Ev::SwapIn(a, Swap::new(1, &SwapCause::Migration), SwapCause::Migration),
         Ev::Reconcile,
         Ev::Command(WorldCommand::Remove(a)),
         Ev::Ingest(SimDuration::ZERO),
     ] {
         assert_eq!(w.streams_read_by(&ev), [None, None], "{ev:?}");
     }
+}
+
+#[test]
+fn a_blip_right_after_a_migration_resumes_without_a_recovery() {
+    // Two TPUs, four 0.4-unit cameras: two mobilenet-v2 then two
+    // mobilenet-v1. Removing one of each leaves one pod per TPU, and one
+    // defrag cycle consolidates them onto one TPU, guarding each moved
+    // stream for the move's priced cost (over a second). A 20 ms blip on
+    // that TPU inside the guard is a blip like any other: the streams
+    // resume at the repair, and no recovery ran.
+    let mut w = world(2, Features::co_compiling_only());
+    w.enable_chaos(ChaosConfig::heal_degrade());
+    w.enable_defrag(crate::defrag::DefragConfig {
+        interval_epochs: 1,
+        ..Default::default()
+    });
+    let models = [
+        "mobilenet-v2",
+        "mobilenet-v2",
+        "mobilenet-v1",
+        "mobilenet-v1",
+    ];
+    let cams: Vec<StreamId> = (0..4)
+        .map(|i| {
+            let spec = StreamSpec::builder(&format!("cam-{i}"), models[i])
+                .units(TpuUnits::from_micro(400_000))
+                .build();
+            w.admit_stream(spec).unwrap()
+        })
+        .collect();
+    let tpu_of =
+        |w: &World, id: StreamId| w.scheduler().assignment(w.pod_of(id).unwrap()).unwrap()[0].tpu();
+    w.run_until(SimTime::from_secs(1));
+    w.remove_stream(cams[0]).unwrap();
+    w.remove_stream(cams[2]).unwrap();
+    let kept = [cams[1], cams[3]];
+    let before = kept.map(|c| tpu_of(&w, c));
+    assert_ne!(before[0], before[1]);
+    w.defrag_epoch();
+    let after = kept.map(|c| tpu_of(&w, c));
+    assert_eq!(after[0], after[1], "one TPU holds both pods");
+    let moved = if after[0] == before[0] {
+        kept[1]
+    } else {
+        kept[0]
+    };
+    let t0 = w.now();
+    w.inject_faults(&FaultSchedule::scripted(vec![
+        FaultEvent {
+            at: t0 + SimDuration::from_millis(10),
+            kind: FaultKind::TpuFail(after[0]),
+        },
+        FaultEvent {
+            at: t0 + SimDuration::from_millis(30),
+            kind: FaultKind::TpuRepair(after[0]),
+        },
+    ]));
+    w.run_until(t0 + SimDuration::from_millis(100));
+    for c in kept {
+        assert_eq!(w.stream_phase(c), Some(StreamPhase::Active), "{c}");
+    }
+    let results = w.run_to_completion(t0 + SimDuration::from_secs(5));
+    let avail = results.availability(moved).unwrap();
+    assert_eq!(avail.downtime, SimDuration::from_millis(20), "{avail:?}");
+    assert_eq!(results.recovery().count(), 0);
 }

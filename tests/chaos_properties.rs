@@ -1,6 +1,7 @@
 //! Chaos property tests: random interleavings of fault injection,
-//! repairs, admissions, removals, and time advancement under the
-//! self-healing configuration must preserve the global invariants —
+//! repairs, admissions, removals, defrag cycles, and time advancement
+//! under the self-healing configuration must preserve the global
+//! invariants —
 //! no TPU oversubscription, no leaked units, every stream in exactly
 //! one lifecycle phase — and identical scenarios must replay
 //! bit-for-bit.
@@ -10,6 +11,7 @@ use proptest::prelude::*;
 use microedge::cluster::node::NodeId;
 use microedge::cluster::topology::ClusterBuilder;
 use microedge::core::config::Features;
+use microedge::core::defrag::DefragConfig;
 use microedge::core::faults::{
     ChaosConfig, ClassRates, FaultEvent, FaultKind, FaultModel, FaultSchedule,
 };
@@ -25,6 +27,12 @@ fn chaos_world() -> World {
     let cluster = ClusterBuilder::new().trpis(TPUS).vrpis(12).build();
     let mut world = World::new(cluster, Features::all());
     world.enable_chaos(ChaosConfig::heal_degrade());
+    // Every `Op::Defrag` runs a cycle, so short blips can land right after
+    // a migration, inside its guard.
+    world.enable_defrag(DefragConfig {
+        interval_epochs: 1,
+        ..DefragConfig::default()
+    });
     world
 }
 
@@ -40,6 +48,8 @@ enum Op {
     Fault(u8, usize, u64),
     /// Advance simulated time (crossing heartbeat/lease boundaries).
     Advance(u64),
+    /// Run one defrag cycle: migrations, each guarded for its priced cost.
+    Defrag,
 }
 
 fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
@@ -50,6 +60,7 @@ fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
             2 => (0u8..3, 0..16usize, prop_oneof![50u64..10_000, 500_000u64..30_000_000])
                 .prop_map(|(class, target, delay)| Op::Fault(class, target, delay)),
             3 => (50u64..6_000).prop_map(Op::Advance),
+            1 => Just(Op::Defrag),
         ],
         1..40,
     )
@@ -164,6 +175,7 @@ proptest! {
                     let next = world.now() + SimDuration::from_millis(ms);
                     world.run_until(next);
                 }
+                Op::Defrag => world.defrag_epoch(),
             }
             // Units of crashed/parked pods are held until the reclamation
             // poll; run it before the conservation check.
